@@ -1,11 +1,15 @@
 """Configuration schema and end-to-end command-line behavior."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import triphoton
 from triphoton import SchemaError, parse_config, serialize_config
 from triphoton.cli import main
 
@@ -27,6 +31,18 @@ def fast_config(tmp_path):
     path = tmp_path / "triphoton.json"
     path.write_text(json.dumps(FAST_CONFIG), encoding="utf-8")
     return path
+
+
+def test_cli_import_loads_no_scipy():
+    # importing scipy.signal took longer than a typical command takes to run
+    src = str(Path(triphoton.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = ("import sys, triphoton.cli; "
+             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_empty_document_gives_reference_defaults():

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.integrate import trapezoid
 
 from triphoton import (
     AmbiguousWidthError,
@@ -27,7 +26,7 @@ from triphoton import (
     g3_w_temporal,
     normalize_to_peak,
 )
-from triphoton.correlators import _transform_czt, _transform_direct
+from triphoton.correlators import _fast_len, _transform_czt, _transform_direct, czt
 from triphoton.spectra import detuning_ghz, filter_eval, phi
 
 CFG = PhaseMatchConfig(-20.0, -20.0)
@@ -46,6 +45,74 @@ def test_transform_engines_agree_on_random_input():
         fast = _transform_czt(c, nu, taus)
         slow = _transform_direct(c, nu, taus)
         np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-10 * np.abs(slow).max())
+
+
+def _czt_oracle(x, m, w, a):
+    """Explicit sum X_k = sum_n x_n a^-n w^(n k) along the last axis."""
+    n = np.arange(x.shape[-1])
+    k = np.arange(m)
+    return x @ (a ** -n[:, None] * w ** np.outer(n, k))
+
+
+def _assert_close(got, ref):
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("n, m", [(40, 17), (17, 40), (33, 2), (64, 64)])
+def test_czt_matches_explicit_sum(n, m):
+    rng = np.random.default_rng(n * 100 + m)
+    x = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    w = np.exp(1j * 0.071)
+    a = np.exp(-0.83j)
+    _assert_close(czt(x, m, w, a), _czt_oracle(x, m, w, a))
+
+
+def test_czt_unit_circle_dft_is_fft():
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((4, 45)) + 1j * rng.standard_normal((4, 45))
+    _assert_close(czt(x, 45, np.exp(-2j * np.pi / 45), 1.0), np.fft.fft(x, axis=-1))
+
+
+def test_czt_layouts_and_axis():
+    rng = np.random.default_rng(3)
+    base = rng.standard_normal((50, 30)) + 1j * rng.standard_normal((50, 30))
+    w = np.exp(1j * 0.05)
+    a = np.exp(0.4j)
+    # transposed view, the layout the W correlators hand over
+    view = base.T
+    assert not view.flags.c_contiguous
+    ref = _czt_oracle(np.ascontiguousarray(view), 21, w, a)
+    _assert_close(czt(view, 21, w, a), ref)
+    # axis=0 on the C-ordered array is the same transform
+    _assert_close(czt(base, 21, w, a, axis=0), ref.T)
+    # single row, 1-D and 2-D
+    _assert_close(czt(base[:, 0], 21, w, a), ref[0])
+    _assert_close(czt(base[:, :1].T, 21, w, a), ref[:1])
+
+
+@pytest.mark.parametrize("shape, transpose", [((40, 37), False), ((37, 40), True), ((1, 37), False)])
+@pytest.mark.parametrize("m", [2, 11, 90])
+def test_transform_czt_matches_direct_on_2d_layouts(shape, transpose, m):
+    rng = np.random.default_rng(m)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c = c.T if transpose else c
+    nu = np.linspace(-3.0, 3.0, c.shape[-1])
+    taus = 0.5 + 0.21 * np.arange(m)
+    _assert_close(_transform_czt(c, nu, taus), _transform_direct(c, nu, taus))
+
+
+def test_fast_len_is_smallest_5_smooth_length():
+    def smooth(v):
+        for p in (2, 3, 5):
+            while v % p == 0:
+                v //= p
+        return v == 1
+
+    expected = None
+    for n in range(4096, 0, -1):
+        if smooth(n):
+            expected = n
+        assert _fast_len(n) == expected, n
 
 
 def test_grid_points_and_validation():
@@ -183,7 +250,7 @@ def test_g3_ghz_parseval():
     quad = QuadratureSpec(1024, 3.0)
     grid = Grid1D(-30.0, 0.125, 641)
     curve = g3_ghz_temporal(CFG, GAUSS, GAUSS, quad, grid, normalized=False)
-    lhs = trapezoid(curve.values, grid.points())
+    lhs = np.trapezoid(curve.values, grid.points())
     nu, w = quad.nodes_weights()
     g = filter_eval(GAUSS, nu) ** 2 * filter_eval(GAUSS, nu) * phi(detuning_ghz(nu, CFG))
     rhs = np.pi * float(np.sum(w * np.abs(g) ** 2))

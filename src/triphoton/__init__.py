@@ -45,12 +45,15 @@ from .errors import (
 )
 from .modes import (
     ModeGrid,
+    SectorDensity,
     TriphotonTensor,
     build_ghz_discrete,
     build_w_discrete,
+    ghz_pair_sectors,
     purity,
     reduce_ghz_trace_one_degenerate,
     reduce_w_trace3,
+    w_pair_sectors,
 )
 from .qubits import (
     DensityMatrix,

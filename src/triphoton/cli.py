@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -40,22 +39,6 @@ SWEEPABLE = ("filter_sigma", "t12_ps", "alpha_max", "n_bins")
 
 def _fmt(x: float) -> str:
     return f"{x:.12e}"
-
-
-def _thread_cap() -> int:
-    """Parallelism cap from TRIPHOTON_THREADS (0 = auto).
-
-    Evaluation is currently serial, which respects any cap; the value is
-    validated and echoed so configurations stay portable.
-    """
-    raw = os.environ.get("TRIPHOTON_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise UsageError(f"TRIPHOTON_THREADS must be an integer, got {raw!r}") from None
-    if cap < 0:
-        raise UsageError(f"TRIPHOTON_THREADS must be >= 0, got {cap}")
-    return cap
 
 
 def _load_config(path_arg: str | None) -> ExperimentConfig:
@@ -138,7 +121,6 @@ def _summary(command: str, cfg: ExperimentConfig, outputs: list[str],
         "config": config_to_dict(cfg),
         "metrics": metrics,
         "outputs": sorted(outputs),
-        "thread_cap": _thread_cap(),
         "wall_ms": wall_ms,
     }
 
@@ -291,6 +273,12 @@ def _qubit_checks() -> dict[str, Any]:
     }
 
 
+def _sector_stats(red: mspace.SectorDensity) -> dict[str, int]:
+    """Non-empty conservation sectors and the most pair states one populates."""
+    sizes = red.block_sizes()
+    return {"max_block": int(sizes.max()), "sectors": int(np.count_nonzero(sizes))}
+
+
 def cmd_modes(cfg: ExperimentConfig, out_dir: Path) -> dict[str, Any]:
     """Discrete loss-of-one-photon report for both states.
 
@@ -302,17 +290,11 @@ def cmd_modes(cfg: ExperimentConfig, out_dir: Path) -> dict[str, Any]:
     grid = cfg.mode_grid
     f1, f2, f3 = _filters3(cfg)
 
-    w_state = mspace.build_w_discrete(cfg.phase_match, (f1, f2, f3), grid)
-    w_red = mspace.reduce_w_trace3(w_state)
-    w_neg = qubits.negativity(w_red, (0,))
-    w_pur = mspace.purity(w_red)
-
-    ghz_state = mspace.build_ghz_discrete(cfg.phase_match, (f1, f2), grid)
-    ghz_red = mspace.reduce_ghz_trace_one_degenerate(ghz_state)
-    ghz_neg = qubits.negativity(ghz_red, (0,))
-    ghz_pur = mspace.purity(ghz_red)
-    off = ghz_red.matrix - np.diag(np.diag(ghz_red.matrix))
-    ghz_offdiag = float(np.max(np.abs(off)))
+    w_red = mspace.w_pair_sectors(mspace.build_w_discrete(cfg.phase_match, (f1, f2, f3), grid))
+    w_neg = w_red.negativity()
+    ghz_red = mspace.ghz_pair_sectors(mspace.build_ghz_discrete(cfg.phase_match, (f1, f2), grid))
+    ghz_neg = ghz_red.negativity()
+    ghz_offdiag = ghz_red.max_offdiagonal()
 
     checks = _qubit_checks()
     w_ok = w_neg > 1e-6
@@ -322,8 +304,9 @@ def cmd_modes(cfg: ExperimentConfig, out_dir: Path) -> dict[str, Any]:
             "diagonal": bool(ghz_offdiag < 1e-14),
             "max_offdiagonal": ghz_offdiag,
             "negativity": ghz_neg,
-            "purity": ghz_pur,
+            "purity": ghz_red.purity(),
             "separable_after_loss": ghz_ok,
+            **_sector_stats(ghz_red),
         },
         "mode_grid": {"n_bins": grid.n_bins, "nu_min_rad_per_ps": grid.nu_min,
                       "nu_max_rad_per_ps": grid.nu_max},
@@ -332,7 +315,8 @@ def cmd_modes(cfg: ExperimentConfig, out_dir: Path) -> dict[str, Any]:
         "w111": {
             "entangled_after_loss": bool(w_ok),
             "negativity": w_neg,
-            "purity": w_pur,
+            "purity": w_red.purity(),
+            **_sector_stats(w_red),
         },
     }
     summary = _summary("modes", cfg, [], report, started)
@@ -388,14 +372,14 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, param: str, values: Sequence
         conditional = corr.g3_w_conditional(row_cfg.phase_match, f1, f2, f3,
                                             row_cfg.quadrature, g12)
         spatial = corr.g3_ghz_spatial(row_cfg.transverse, row_cfg.grid("rho12_um"))
-        w_red = mspace.reduce_w_trace3(
+        w_red = mspace.w_pair_sectors(
             mspace.build_w_discrete(row_cfg.phase_match, (f1, f2, f3), row_cfg.mode_grid))
-        ghz_red = mspace.reduce_ghz_trace_one_degenerate(
+        ghz_red = mspace.ghz_pair_sectors(
             mspace.build_ghz_discrete(row_cfg.phase_match, (f1, f2), row_cfg.mode_grid))
         lines.append(",".join([
             param, _fmt(float(value)),
             _fmt(corr.fwhm(pair)), _fmt(corr.fwhm(conditional)), _fmt(corr.fwhm(spatial)),
-            _fmt(qubits.negativity(w_red, (0,))), _fmt(qubits.negativity(ghz_red, (0,))),
+            _fmt(w_red.negativity()), _fmt(ghz_red.negativity()),
         ]))
     path = out_dir / f"sweep_{param}.csv"
     _write_text(path, "\n".join(lines) + "\n")
@@ -446,7 +430,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _thread_cap()
         cfg = _load_config(args.config)
         out_dir = _out_dir(cfg, args.out)
         if args.command == "figure1":

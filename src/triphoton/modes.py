@@ -8,6 +8,17 @@ photons 1 and 3, the degenerate-pair state a single amplitude B[i] over
 the bin shared by the pair. Detection filters are folded into the
 amplitudes, so the discrete state and the continuous correlators describe
 the same post-filter physics.
+
+Frequency conservation also fixes the pair's sector: every pair vector
+heralded by a detection of the lost photon lies on one anti-diagonal
+a + b = s of the (photon-1 bin, partner bin) plane. The reduced pair
+state is therefore block diagonal in s, and its partial transpose in
+the difference a - b, each with 2n - 1 blocks of at most n x n.
+``SectorDensity`` stores and evaluates the reduced states in that form,
+at O(n^4) cost instead of the O(n^6) eigensolve of the dense n^2 x n^2
+``DensityMatrix`` that ``reduce_w_trace3`` and
+``reduce_ghz_trace_one_degenerate`` build; the dense reducers stay as
+the reference implementation.
 """
 
 from __future__ import annotations
@@ -18,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .qubits import DensityMatrix
+from .qubits import EIGENVALUE_FLOOR, HERMITICITY_TOL, TRACE_TOL, DensityMatrix
 from .spectra import (
     FilterSpec,
     PhaseMatchConfig,
@@ -61,20 +72,21 @@ class ModeGrid:
     def nearest_bin(self, nu) -> tuple[np.ndarray, np.ndarray]:
         """Nearest bin index and an on-grid mask.
 
-        A frequency more than half a bin outside [nu_min, nu_max] is
-        off-grid; exactly half a bin out still rounds to the edge bin.
-        Half-bin ties round toward the higher bin, with a relative guard
-        so the choice does not flip on last-ulp noise in the division
-        (on symmetric grids with an even bin count, every conservation
-        frequency is such a tie).
+        Half-bin ties round toward the higher bin at both edges and in
+        between, with a relative guard so the choice does not flip on
+        last-ulp noise in the division (on symmetric grids with an even
+        bin count, every conservation frequency is such a tie). A
+        frequency whose rounded index falls outside [0, n_bins) is
+        off-grid: exactly half a bin below nu_min rounds to bin 0, exactly
+        half a bin above nu_max rounds off the grid. The index is thus
+        linear in the frequency on the whole grid, so conservation bins
+        satisfy partner = J0 - (i + k) for one offset J0.
         """
         arr = np.asarray(nu, dtype=float)
         x = (arr - self.nu_min) / self.bin_width
-        eps = 1e-9
-        on = (x > -0.5 - eps) & (x < self.n_bins - 0.5 + eps)
-        idx = np.floor(x + 0.5 + eps).astype(int)
-        idx = np.clip(idx, 0, self.n_bins - 1)
-        return np.where(on, idx, -1), on
+        idx = np.floor(x + 0.5 + 1e-9)
+        on = (idx >= 0) & (idx < self.n_bins)
+        return np.where(on, idx, -1).astype(int), on
 
 
 @dataclass(frozen=True)
@@ -209,3 +221,123 @@ def reduce_ghz_trace_one_degenerate(state: TriphotonTensor) -> DensityMatrix:
 def purity(rho: DensityMatrix) -> float:
     """tr(rho^2): 1 for pure states, 1/d for the maximally mixed state."""
     return float(np.real(np.trace(rho.matrix @ rho.matrix)))
+
+
+def _eigvalsh_nonzero(blocks: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the blocks of a stack that are not all zero; an
+    all-zero block adds only zero eigenvalues."""
+    return np.linalg.eigvalsh(blocks[np.any(blocks != 0, axis=(1, 2))])
+
+
+@dataclass(frozen=True)
+class SectorDensity:
+    """Two-photon density matrix stored by conservation sector.
+
+    ``blocks[s, a, a']`` is <a, s-a| rho |a', s-a'> on an n-bin grid,
+    shape (2n - 1, n, n), with zeros wherever s - a or s - a' is off the
+    grid. Elements between different sectors are zero by frequency
+    conservation, so the blocks are the whole state. Validated like
+    ``DensityMatrix``: Hermitian, unit trace, and no block eigenvalue
+    below the PSD floor.
+    """
+
+    blocks: np.ndarray
+
+    def __post_init__(self) -> None:
+        r = np.asarray(self.blocks, dtype=complex)
+        n = r.shape[1] if r.ndim == 3 else 0
+        if n < 1 or r.shape != (2 * n - 1, n, n):
+            raise InvalidArgumentError(f"sector blocks must have shape (2n-1, n, n), got {r.shape}")
+        b = np.arange(2 * n - 1)[:, None] - np.arange(n)  # partner bin s - a
+        rows = (b >= 0) & (b < n)
+        if np.any(r[~(rows[:, :, None] & rows[:, None, :])] != 0):
+            raise InvalidArgumentError("sector blocks carry weight on off-grid partner bins")
+        herm = float(np.max(np.abs(r - r.conj().transpose(0, 2, 1))))
+        if herm > HERMITICITY_TOL:
+            raise InvalidArgumentError(f"sector blocks are not Hermitian (max deviation {herm:.3e})")
+        tr = complex(np.trace(r, axis1=1, axis2=2).sum())
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise InvalidArgumentError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
+        lo = float(_eigvalsh_nonzero(r).min())
+        if lo < EIGENVALUE_FLOOR:
+            raise InvalidArgumentError(f"a sector block has eigenvalue {lo:.3e} below the PSD floor")
+        object.__setattr__(self, "blocks", r)
+
+    def purity(self) -> float:
+        """tr(rho^2), the squared Frobenius norm summed over the blocks."""
+        r = self.blocks
+        return float(np.sum(r.real**2 + r.imag**2))
+
+    def negativity(self) -> float:
+        """Sum of |negative eigenvalues| of the partial transpose across
+        the photon cut, as ``qubits.negativity(rho, (0,))`` on the dense
+        matrix.
+
+        Transposing photon 1 maps <a, b|rho|a', b'> to <a', b|rho|a, b'>,
+        which is block diagonal in d = a - b = a' - b' with
+        B_d[a, a'] = R_{a+a'-d}[a', a]; one batched eigensolve covers all
+        2n - 1 blocks.
+        """
+        n = self.blocks.shape[1]
+        # sectors -(n-1) .. 3n-3 are reachable; those off [0, 2n-2] read
+        # zero padding, and off-grid entries inside it are zero by validation
+        padded = np.zeros((4 * n - 3, n, n), dtype=complex)
+        padded[n - 1:3 * n - 2] = self.blocks
+        a = np.arange(n)[None, :, None]
+        ap = np.arange(n)[None, None, :]
+        d = np.arange(1 - n, n)[:, None, None]
+        pt = padded[a + ap - d + n - 1, ap, a]
+        eigs = _eigvalsh_nonzero(pt)
+        return float(-eigs[eigs < 0.0].sum()) + 0.0
+
+    def max_offdiagonal(self) -> float:
+        """Largest |rho_ij| with i != j; elements between sectors are 0."""
+        n = self.blocks.shape[1]
+        return float(np.abs(self.blocks[:, ~np.eye(n, dtype=bool)]).max(initial=0.0))
+
+    def block_sizes(self) -> np.ndarray:
+        """Number of pair basis states each sector populates (nonzero
+        diagonal); a PSD block is zero outside those states."""
+        return np.count_nonzero(np.diagonal(self.blocks, axis1=1, axis2=2).real > 0.0, axis=1)
+
+
+def w_pair_sectors(state: TriphotonTensor) -> SectorDensity:
+    """``reduce_w_trace3`` in sector form.
+
+    Photon-3 bin k heralds |chi_k> = sum_i A[i, k] |i>|j(i,k)>, and every
+    live entry of column k lies in the sector s_k = i + j(i, k), so the
+    column adds the outer product of A[:, k] to block s_k. A column whose
+    live entries span two sectors breaks conservation on the grid and is
+    rejected.
+    """
+    if state.kind != KIND_W:
+        raise InvalidArgumentError(f"expected a {KIND_W} tensor, got {state.kind!r}")
+    n = state.grid.n_bins
+    live = state.partner_bins >= 0
+    sector = np.where(live, np.arange(n)[:, None] + state.partner_bins, -1)
+    s_k = sector.max(axis=0)
+    split = np.flatnonzero(np.any(live & (sector != s_k), axis=0))
+    if split.size:
+        k = int(split[0])
+        raise InvalidArgumentError(
+            f"photon-3 bin {k} heralds a pair vector spanning sectors "
+            f"{sorted(set(sector[live[:, k], k].tolist()))}; "
+            "the grid does not conserve frequency bin by bin")
+    used = s_k >= 0
+    cols = state.amplitudes.T[used]  # off-grid entries are already 0
+    blocks = np.zeros((2 * n - 1, n, n), dtype=complex)
+    np.add.at(blocks, s_k[used], cols[:, :, None] * cols.conj()[:, None, :])
+    return SectorDensity(blocks)
+
+
+def ghz_pair_sectors(state: TriphotonTensor) -> SectorDensity:
+    """``reduce_ghz_trace_one_degenerate`` in sector form: pair bin i
+    puts weight |B[i]|^2 on the diagonal of sector i + partner(i)."""
+    if state.kind != KIND_GHZ:
+        raise InvalidArgumentError(f"expected a {KIND_GHZ} tensor, got {state.kind!r}")
+    n = state.grid.n_bins
+    i = np.flatnonzero(state.partner_bins >= 0)
+    amps = state.amplitudes[i]
+    blocks = np.zeros((2 * n - 1, n, n), dtype=complex)
+    blocks[i + state.partner_bins[i], i, i] = amps.real**2 + amps.imag**2
+    return SectorDensity(blocks)

@@ -188,6 +188,10 @@ def test_modes_report(tmp_path, fast_config):
     assert report["ghz12"]["negativity"] <= 1e-10
     assert report["ghz12"]["max_offdiagonal"] < 1e-14
     assert report["w111"]["negativity"] > 1e-6
+    # 6 bins: W photon-3 bins each herald one sector, GHZ pair bins 0..5
+    # reach the grid for 3 of them, one populated state per sector
+    assert (report["w111"]["sectors"], report["w111"]["max_block"]) == (6, 6)
+    assert (report["ghz12"]["sectors"], report["ghz12"]["max_block"]) == (3, 1)
     checks = report["qubit_checks"]
     assert checks["ghz_traced_fidelity_vs_even_mixture"] == pytest.approx(1.0, abs=1e-9)
     assert checks["ghz_traced_negativity"] <= 1e-10
@@ -266,14 +270,6 @@ def test_output_path_collision_is_io_error(tmp_path, fast_config, capsys):
     rc = main(["modes", "--config", str(fast_config), "--out", str(blocker)])
     assert rc == 1
     assert str(blocker) in capsys.readouterr().err
-
-
-def test_thread_cap_env(tmp_path, fast_config, monkeypatch):
-    monkeypatch.setenv("TRIPHOTON_THREADS", "abc")
-    assert main(["modes", "--config", str(fast_config), "--out", str(tmp_path)]) == 2
-    monkeypatch.setenv("TRIPHOTON_THREADS", "2")
-    out = tmp_path / "ok"
-    assert main(["modes", "--config", str(fast_config), "--out", str(out)]) == 0
 
 
 def test_modes_property_violation_exit_code(tmp_path, capsys):

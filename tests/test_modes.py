@@ -13,11 +13,14 @@ from triphoton import (
     TriphotonTensor,
     build_ghz_discrete,
     build_w_discrete,
+    ghz_pair_sectors,
     negativity,
     purity,
     reduce_ghz_trace_one_degenerate,
     reduce_w_trace3,
+    w_pair_sectors,
 )
+from triphoton.modes import SectorDensity
 from triphoton.qubits import DensityMatrix
 
 CFG = PhaseMatchConfig(-20.0, -20.0)
@@ -27,8 +30,31 @@ TINY_T = PhaseMatchConfig(-1e-6, -1e-6)  # envelope is 1 to ~1e-12 on the grid
 
 # Regression fixture: negativity of the pair state left after tracing the
 # third photon, reference configuration, 8 bins over [-1.2, 1.2] rad/ps.
-# Frozen from the dense eigensolver under the documented half-up bin ties.
-W_NEGATIVITY_8_BINS = 0.014341726097336851
+# Frozen from the dense eigensolver under the documented half-up bin ties,
+# which on this even, symmetric grid drop the upper-edge tie off the grid.
+W_NEGATIVITY_8_BINS = 0.014341692172571054
+
+
+def _dense_from_sectors(red: SectorDensity) -> np.ndarray:
+    """The n^2 x n^2 matrix the sector blocks stand for."""
+    n = red.blocks.shape[1]
+    rho = np.zeros((n * n, n * n), dtype=complex)
+    for s in range(2 * n - 1):
+        a = np.arange(max(0, s - n + 1), min(s, n - 1) + 1)
+        flat = a * n + (s - a)
+        rho[np.ix_(flat, flat)] = red.blocks[s][np.ix_(a, a)]
+    return rho
+
+
+def _dense_figures(rho: DensityMatrix) -> list[float]:
+    off = rho.matrix - np.diag(np.diag(rho.matrix))
+    return [negativity(rho, (0,)), purity(rho), float(np.abs(off).max())]
+
+
+def _assert_matches_dense(red: SectorDensity, rho: DensityMatrix) -> None:
+    np.testing.assert_allclose(_dense_from_sectors(red), rho.matrix, rtol=0, atol=1e-15)
+    np.testing.assert_allclose([red.negativity(), red.purity(), red.max_offdiagonal()],
+                               _dense_figures(rho), rtol=0, atol=1e-12)
 
 
 def test_mode_grid_basics():
@@ -42,10 +68,23 @@ def test_mode_grid_basics():
 
 def test_nearest_bin_edges():
     g = ModeGrid(3, -1.0, 1.0)  # centers -1, 0, 1, width 1
-    idx, on = g.nearest_bin(np.array([-1.5, -1.49, 0.2, 1.5, 1.51, -2.0]))
-    # exactly half a bin outside stays on the edge bin
-    np.testing.assert_array_equal(on, [True, True, True, True, False, False])
-    np.testing.assert_array_equal(idx, [0, 0, 1, 2, -1, -1])
+    idx, on = g.nearest_bin(np.array([-1.5, -1.49, 0.2, 1.5, 1.51, -2.0, 0.5, 1.49]))
+    # half-bin ties round up at both edges: exactly half a bin below the
+    # grid lands on bin 0, exactly half a bin above it falls off, and the
+    # interior tie 0.5 goes to bin 2
+    np.testing.assert_array_equal(on, [True, True, True, False, False, False, True, True])
+    np.testing.assert_array_equal(idx, [0, 0, 1, -1, -1, -1, 2, 2])
+
+
+def test_nearest_bin_even_grid_conservation_is_linear():
+    # every conservation frequency on an even symmetric grid is a tie;
+    # each of the 8 sector offsets must map to its own partner bin
+    grid = ModeGrid(8, -1.2, 1.2)
+    nu = grid.centers()
+    idx, on = grid.nearest_bin(-(nu[:, None] + nu[None, :]))
+    i_plus_k = np.add.outer(np.arange(8), np.arange(8))
+    np.testing.assert_array_equal(on, (i_plus_k >= 4) & (i_plus_k <= 11))
+    np.testing.assert_array_equal(idx[on], 11 - i_plus_k[on])
 
 
 def test_build_w_uniform_amplitudes():
@@ -106,6 +145,10 @@ def test_reduce_w_single_slice_pure():
     chi[1 * 2 + 0] = amps[1, 0]
     expected = negativity(PureState(chi, (2, 2)).density(), (0,))
     assert negativity(rho, (0,)) == pytest.approx(expected, abs=1e-12)
+    sectors = w_pair_sectors(state)
+    _assert_matches_dense(sectors, rho)
+    assert sectors.purity() == pytest.approx(1.0, abs=1e-12)
+    assert sectors.negativity() == pytest.approx(expected, abs=1e-12)
 
 
 def test_reduce_w_conservation_alone_entangles():
@@ -159,6 +202,10 @@ def test_reduce_type_mismatch():
         reduce_w_trace3(ghz_state)
     with pytest.raises(InvalidArgumentError):
         reduce_ghz_trace_one_degenerate(w_state)
+    with pytest.raises(InvalidArgumentError):
+        w_pair_sectors(ghz_state)
+    with pytest.raises(InvalidArgumentError):
+        ghz_pair_sectors(w_state)
 
 
 def test_purity_values():
@@ -169,6 +216,11 @@ def test_purity_values():
     state = TriphotonTensor("ghz12", amps, partner, grid)
     rho = reduce_ghz_trace_one_degenerate(state)
     assert purity(rho) == pytest.approx(0.25, abs=1e-12)
+    # all four pairs share sector i + partner = 3
+    sectors = ghz_pair_sectors(state)
+    _assert_matches_dense(sectors, rho)
+    assert sectors.purity() == pytest.approx(0.25, abs=1e-12)
+    assert sectors.block_sizes().tolist() == [0, 0, 0, 4, 0, 0, 0]
     d = 6
     maximally_mixed = DensityMatrix(np.eye(d, dtype=complex) / d, (2, 3))
     assert purity(maximally_mixed) == pytest.approx(1.0 / d, abs=1e-12)
@@ -217,3 +269,57 @@ def test_tensor_validation():
     partner = np.array([[-1, 0], [0, 0]])
     with pytest.raises(InvalidArgumentError):
         TriphotonTensor("w111", off_grid_amp, partner, grid)
+
+
+@pytest.mark.parametrize("span", [(-1.2, 1.2), (-0.4, 0.4), (-1.0, 1.0), (-1.3, 0.9)])
+def test_sector_path_matches_dense_oracle(span):
+    for n in range(2, 17):
+        grid = ModeGrid(n, *span)
+        w_state = build_w_discrete(CFG, (GAUSS, GAUSS, GAUSS), grid)
+        ghz_state = build_ghz_discrete(CFG, (GAUSS, GAUSS), grid)
+        _assert_matches_dense(w_pair_sectors(w_state), reduce_w_trace3(w_state))
+        _assert_matches_dense(ghz_pair_sectors(ghz_state),
+                              reduce_ghz_trace_one_degenerate(ghz_state))
+
+
+def test_sector_w_column_spanning_two_sectors_rejected():
+    grid = ModeGrid(3, -1.0, 1.0)
+    amps = np.zeros((3, 3), dtype=complex)
+    amps[0, 0] = amps[1, 0] = np.sqrt(0.5)
+    # i + partner is 1 for the first entry and 2 for the second
+    partner = np.array([[1, -1, -1], [1, -1, -1], [-1, -1, -1]])
+    state = TriphotonTensor("w111", amps, partner, grid)
+    reduce_w_trace3(state)  # the dense path has no sector structure to break
+    with pytest.raises(InvalidArgumentError, match="sectors"):
+        w_pair_sectors(state)
+
+
+def test_sector_density_validation():
+    blocks = np.zeros((3, 2, 2), dtype=complex)
+    blocks[1] = [[0.5, 0.5], [0.5, 0.5]]  # (|0,1> + |1,0>)/sqrt(2)
+    assert SectorDensity(blocks).purity() == pytest.approx(1.0, abs=1e-15)
+    non_hermitian = blocks.copy()
+    non_hermitian[1, 0, 1] = 0.5j
+    negative = blocks.copy()
+    negative[1] = [[0.5, 0.7], [0.7, 0.5]]
+    off_grid = blocks.copy()
+    off_grid[0] = [[0.0, 0.0], [0.0, 0.1]]  # partner bin 0 - 1 = -1
+    off_grid[1, 0, 0] = 0.4
+    for bad in (non_hermitian, negative, off_grid, blocks * 2.0, blocks[:2], blocks[:, :, :1]):
+        with pytest.raises(InvalidArgumentError):
+            SectorDensity(bad)
+
+
+def test_sector_negativity_continuum_limit():
+    # default grid and filters: refining the bins settles the surviving
+    # pair entanglement near 0.12767 while the degenerate pair stays
+    # exactly separable
+    w_negs = []
+    for n in (17, 33, 65):
+        grid = ModeGrid(n, -1.2, 1.2)
+        w_negs.append(w_pair_sectors(build_w_discrete(CFG, (GAUSS, GAUSS, GAUSS), grid)).negativity())
+        assert ghz_pair_sectors(build_ghz_discrete(CFG, (GAUSS, GAUSS), grid)).negativity() == 0.0
+    n17, n33, n65 = w_negs
+    assert abs(n65 - n33) < 1e-5 * n33
+    assert n33 == pytest.approx(0.12767, rel=1e-4)
+    assert abs(n17 - n33) < 2e-3 * n33

@@ -170,87 +170,74 @@ def cmd_figure1(cfg: ExperimentConfig, out_dir: Path, physical_mask: bool = True
     return summary
 
 
-_VALID_COMBOS = (
-    ("w111", "time", 2), ("w111", "time", 3), ("w111", "space", 2), ("w111", "space", 3),
-    ("ghz12", "time", 2), ("ghz12", "time", 3), ("ghz12", "space", 2), ("ghz12", "space", 3),
-)
+# (state, domain, order) -> (evaluate(cfg), layout). The layout is either the
+# axis names of the CSV (one for a curve, two for a surface) or, for a
+# scalar, the constancy flag written beside its value. Each evaluate looks
+# its correlator up in ``corr`` when called, so a wrapped module attribute
+# is the one that runs.
+_CORRELATIONS = {
+    ("w111", "time", 2): (
+        lambda c: corr.g2_w_temporal(c.phase_match, c.filters[0], c.filters[1],
+                                     c.quadrature, c.grid("tau12_ps")),
+        ("tau12_ps",)),
+    ("w111", "time", 3): (
+        lambda c: corr.g3_w_temporal(c.phase_match, *_filters3(c), c.quadrature,
+                                     (c.grid("tau12_ps"), c.grid("tau32_ps"))),
+        ("tau12_ps", "tau32_ps")),
+    ("w111", "space", 2): (
+        lambda c: corr.g2_w_spatial(c.transverse, c.grid("rho12_um")),
+        ("rho12_um",)),
+    ("w111", "space", 3): (
+        lambda c: corr.g3_w_spatial(c.transverse, (c.grid("rho12_um"), c.grid("rho32_um"))),
+        ("rho12_um", "rho32_um")),
+    ("ghz12", "time", 2): (
+        lambda c: corr.g2_ghz_temporal(c.phase_match, c.filters[0], c.filters[1],
+                                       c.quadrature),
+        "delay_independent"),
+    ("ghz12", "time", 3): (
+        lambda c: corr.g3_ghz_temporal(c.phase_match, c.filters[0], c.filters[1],
+                                       c.quadrature, c.grid("tau12_ps")),
+        ("tau12_ps",)),
+    ("ghz12", "space", 2): (
+        lambda c: corr.g2_ghz_spatial(c.transverse),
+        "displacement_independent"),
+    ("ghz12", "space", 3): (
+        lambda c: corr.g3_ghz_spatial(c.transverse, c.grid("rho12_um")),
+        ("rho12_um",)),
+}
 
 
 def cmd_correlate(cfg: ExperimentConfig, out_dir: Path, state: str, domain: str,
                   order: int, physical_mask: bool = False) -> dict[str, Any]:
-    """Evaluate one correlator and serialize it."""
+    """Evaluate one correlator and serialize it.
+
+    A scalar goes to JSON with its constancy flag, a curve or surface to
+    CSV; ``physical_mask`` drops negative delays, never displacements.
+    """
     started = time.perf_counter()
-    combo = (state, domain, order)
-    if combo not in _VALID_COMBOS:
+    try:
+        evaluate, layout = _CORRELATIONS[(state, domain, order)]
+    except KeyError:
         raise UsageError(
-            f"unsupported combination {combo}; valid: "
-            + ", ".join(f"{s}/{d}/{o}" for s, d, o in _VALID_COMBOS))
+            f"unsupported combination {(state, domain, order)}; valid: "
+            + ", ".join(f"{s}/{d}/{o}" for s, d, o in _CORRELATIONS)) from None
     stem = f"correlate_{state}_{domain}_g{order}"
-    outputs: list[str] = []
-    metrics: dict[str, Any] = {}
-
-    if state == "w111" and domain == "time":
-        if order == 2:
-            surf = corr.g2_w_temporal(cfg.phase_match, cfg.filters[0], cfg.filters[1],
-                                      cfg.quadrature, cfg.grid("tau12_ps"))
-            path = out_dir / f"{stem}.csv"
-            write_curve_csv(path, "tau12_ps", "g2", surf, physical_mask)
-        else:
-            f1, f2, f3 = _filters3(cfg)
-            surf = corr.g3_w_temporal(cfg.phase_match, f1, f2, f3, cfg.quadrature,
-                                      (cfg.grid("tau12_ps"), cfg.grid("tau32_ps")))
-            path = out_dir / f"{stem}.csv"
-            write_surface_csv(path, ("tau12_ps", "tau32_ps"), "g3", surf, physical_mask)
-        outputs.append(str(path))
-        metrics["peak_location"] = _peak_location(surf)
-        if len(surf.axes) == 1:
-            metrics["fwhm"] = corr.fwhm(surf)
-    elif state == "w111" and domain == "space":
-        if order == 2:
-            surf = corr.g2_w_spatial(cfg.transverse, cfg.grid("rho12_um"))
-            path = out_dir / f"{stem}.csv"
-            write_curve_csv(path, "rho12_um", "g2", surf)
-            metrics["fwhm"] = corr.fwhm(surf)
-        else:
-            surf = corr.g3_w_spatial(cfg.transverse, (cfg.grid("rho12_um"), cfg.grid("rho32_um")))
-            path = out_dir / f"{stem}.csv"
-            write_surface_csv(path, ("rho12_um", "rho32_um"), "g3", surf)
-        outputs.append(str(path))
-        metrics["peak_location"] = _peak_location(surf)
-    elif state == "ghz12" and domain == "time":
-        if order == 2:
-            value = corr.g2_ghz_temporal(cfg.phase_match, cfg.filters[0], cfg.filters[1],
-                                         cfg.quadrature)
-            path = out_dir / f"{stem}.json"
-            _write_json(path, {"value": value, "delay_independent": True})
-            outputs.append(str(path))
-            metrics["value"] = value
-            metrics["delay_independent"] = True
-        else:
-            surf = corr.g3_ghz_temporal(cfg.phase_match, cfg.filters[0], cfg.filters[1],
-                                        cfg.quadrature, cfg.grid("tau12_ps"))
-            path = out_dir / f"{stem}.csv"
-            write_curve_csv(path, "tau12_ps", "g3", surf, physical_mask)
-            outputs.append(str(path))
-            metrics["peak_location"] = _peak_location(surf)
-            metrics["fwhm"] = corr.fwhm(surf)
+    result = evaluate(cfg)
+    if isinstance(layout, str):
+        path = out_dir / f"{stem}.json"
+        metrics = {"value": result, layout: True}
+        _write_json(path, metrics)
     else:
-        if order == 2:
-            value = corr.g2_ghz_spatial(cfg.transverse)
-            path = out_dir / f"{stem}.json"
-            _write_json(path, {"value": value, "displacement_independent": True})
-            outputs.append(str(path))
-            metrics["value"] = value
-            metrics["displacement_independent"] = True
+        path = out_dir / f"{stem}.csv"
+        mask = physical_mask and domain == "time"
+        if len(layout) == 1:
+            write_curve_csv(path, layout[0], f"g{order}", result, mask)
+            metrics = {"fwhm": corr.fwhm(result), "peak_location": _peak_location(result)}
         else:
-            surf = corr.g3_ghz_spatial(cfg.transverse, cfg.grid("rho12_um"))
-            path = out_dir / f"{stem}.csv"
-            write_curve_csv(path, "rho12_um", "g3", surf)
-            outputs.append(str(path))
-            metrics["peak_location"] = _peak_location(surf)
-            metrics["fwhm"] = corr.fwhm(surf)
+            write_surface_csv(path, layout, f"g{order}", result, mask)
+            metrics = {"peak_location": _peak_location(result)}
 
-    summary = _summary("correlate", cfg, outputs, metrics, started)
+    summary = _summary("correlate", cfg, [str(path)], metrics, started)
     _write_json(out_dir / f"{stem}_summary.json", summary)
     return summary
 
@@ -364,21 +351,29 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, param: str, values: Sequence
     header = ("param,value,g2_w_fwhm_ps,g3_w_conditional_fwhm_ps,"
               "g3_ghz_spatial_fwhm_um,w_negativity,ghz_negativity")
     lines = [header]
+    widths_inputs = widths = None
     for value in values:
         row_cfg = _config_with_param(base, param, value)
         f1, f2, f3 = _filters3(row_cfg)
         g12 = row_cfg.grid("tau12_ps")
-        pair = corr.g2_w_temporal(row_cfg.phase_match, f1, f2, row_cfg.quadrature, g12)
-        conditional = corr.g3_w_conditional(row_cfg.phase_match, f1, f2, f3,
-                                            row_cfg.quadrature, g12)
-        spatial = corr.g3_ghz_spatial(row_cfg.transverse, row_cfg.grid("rho12_um"))
+        rho12 = row_cfg.grid("rho12_um")
+        # the widths depend on these alone; an n_bins sweep reuses them
+        inputs = (row_cfg.phase_match, row_cfg.filters, row_cfg.quadrature,
+                  row_cfg.transverse, g12, rho12)
+        if inputs != widths_inputs:
+            pair = corr.g2_w_temporal(row_cfg.phase_match, f1, f2, row_cfg.quadrature, g12)
+            conditional = corr.g3_w_conditional(row_cfg.phase_match, f1, f2, f3,
+                                                row_cfg.quadrature, g12)
+            spatial = corr.g3_ghz_spatial(row_cfg.transverse, rho12)
+            widths = [_fmt(corr.fwhm(pair)), _fmt(corr.fwhm(conditional)),
+                      _fmt(corr.fwhm(spatial))]
+            widths_inputs = inputs
         w_red = mspace.w_pair_sectors(
             mspace.build_w_discrete(row_cfg.phase_match, (f1, f2, f3), row_cfg.mode_grid))
         ghz_red = mspace.ghz_pair_sectors(
             mspace.build_ghz_discrete(row_cfg.phase_match, (f1, f2), row_cfg.mode_grid))
         lines.append(",".join([
-            param, _fmt(float(value)),
-            _fmt(corr.fwhm(pair)), _fmt(corr.fwhm(conditional)), _fmt(corr.fwhm(spatial)),
+            param, _fmt(float(value)), *widths,
             _fmt(w_red.negativity()), _fmt(ghz_red.negativity()),
         ]))
     path = out_dir / f"sweep_{param}.csv"
@@ -406,9 +401,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cor = sub.add_parser("correlate", help="evaluate one correlation function")
     add_common(p_cor)
-    p_cor.add_argument("--state", required=True, choices=["w111", "ghz12"])
-    p_cor.add_argument("--domain", required=True, choices=["time", "space"])
-    p_cor.add_argument("--order", required=True, type=int, choices=[2, 3])
+    states, domains, orders = (list(dict.fromkeys(axis)) for axis in zip(*_CORRELATIONS))
+    p_cor.add_argument("--state", required=True, choices=states)
+    p_cor.add_argument("--domain", required=True, choices=domains)
+    p_cor.add_argument("--order", required=True, type=int, choices=orders)
     p_cor.add_argument("--physical-mask", action=argparse.BooleanOptionalAction, default=False)
 
     p_modes = sub.add_parser("modes", help="discrete loss-of-one-photon analysis")

@@ -17,8 +17,6 @@ from .errors import InvalidArgumentError, SchemaError
 from .modes import ModeGrid
 from .spectra import FilterSpec, PhaseMatchConfig, TransverseWindow
 
-OUTPUT_FORMATS = ("csv", "json")
-
 # Reference defaults: equal negative walk-off of 20 ps on both arms and
 # identical Gaussian filters of 0.4 rad/ps on every detector.
 _DEFAULTS: dict[str, Any] = {
@@ -37,18 +35,13 @@ _DEFAULTS: dict[str, Any] = {
     },
     "transverse": {"alpha_max_rad_per_um": 1.0, "dims": 1},
     "mode_grid": {"n_bins": 8, "nu_min_rad_per_ps": -1.2, "nu_max_rad_per_ps": 1.2},
-    "output": {"dir": ".", "format": "csv"},
+    "output": {"dir": "."},
 }
 
 
 @dataclass(frozen=True)
 class OutputSpec:
     dir: str = "."
-    format: str = "csv"
-
-    def __post_init__(self) -> None:
-        if self.format not in OUTPUT_FORMATS:
-            raise InvalidArgumentError(f"format must be one of {OUTPUT_FORMATS}, got {self.format!r}")
 
 
 @dataclass(frozen=True)
@@ -199,14 +192,10 @@ def parse_config(text: str | bytes) -> ExperimentConfig:
                   _DEFAULTS["output"], "output")
     if not isinstance(out["dir"], str):
         raise SchemaError(f"output.dir: expected a string, got {out['dir']!r}")
-    try:
-        output = OutputSpec(dir=out["dir"], format=out["format"])
-    except InvalidArgumentError as err:
-        raise SchemaError(f"output.format: {err}") from err
 
     return ExperimentConfig(phase_match=phase_match, filters=filters, quadrature=quadrature,
                             grids=grids, transverse=transverse, mode_grid=mode_grid,
-                            output=output)
+                            output=OutputSpec(dir=out["dir"]))
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:
@@ -227,7 +216,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:
         "mode_grid": {"n_bins": cfg.mode_grid.n_bins,
                       "nu_min_rad_per_ps": cfg.mode_grid.nu_min,
                       "nu_max_rad_per_ps": cfg.mode_grid.nu_max},
-        "output": {"dir": cfg.output.dir, "format": cfg.output.format},
+        "output": {"dir": cfg.output.dir},
     }
 
 

@@ -327,12 +327,8 @@ def g3_w_conditional(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec, f3: 
     tau32 = -u + abs(cfg.t12)
     F = _w_integrand(cfg, f1, f2, f3, nu) * w[:, None] * w[None, :]
     phase3 = np.exp(1j * np.outer(nu, tau32))            # (n3, m)
-    if method == "fft":
-        half = _transform(F.T, nu, u, "fft")             # (n3, m) transform over nu1
-        amp = (half * phase3).sum(axis=0)
-    else:
-        phase1 = np.exp(1j * np.outer(nu, u))            # (n1, m)
-        amp = ((F.T @ phase1) * phase3).sum(axis=0)
+    half = _transform(F.T, nu, u, method)                # (n3, m) transform over nu1
+    amp = (half * phase3).sum(axis=0)
     vals = amp.real**2 + amp.imag**2
     surface = CorrelationSurface((grid,), vals, KIND_G3_TEMPORAL, STATE_W)
     return normalize_to_peak(surface) if normalized else surface
@@ -378,15 +374,7 @@ def g3_ghz_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
 
 def _alpha_nodes_weights(window: TransverseWindow, n_points: int) -> tuple[np.ndarray, np.ndarray]:
     # 6 window half-widths put the amplitude at exp(-36); nothing survives beyond
-    if int(n_points) != n_points or n_points < 2:
-        raise InvalidArgumentError(f"n_points must be an integer >= 2, got {n_points!r}")
-    span = 6.0 * window.alpha_max
-    alpha = np.linspace(-span, span, int(n_points))
-    d = alpha[1] - alpha[0]
-    w = np.full(int(n_points), d)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return alpha, w
+    return QuadratureSpec(n_points, 6.0 * window.alpha_max).nodes_weights()
 
 
 def g2_w_spatial(window: TransverseWindow, grid: Grid1D, *, n_points: int = 1024,

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import triphoton
+import triphoton.correlators
 from triphoton import SchemaError, parse_config, serialize_config
 from triphoton.cli import main
 
@@ -31,6 +32,19 @@ def fast_config(tmp_path):
     path = tmp_path / "triphoton.json"
     path.write_text(json.dumps(FAST_CONFIG), encoding="utf-8")
     return path
+
+
+def count_calls(monkeypatch, name):
+    """Wrap ``triphoton.correlators.<name>`` and return its call counter."""
+    calls = []
+    original = getattr(triphoton.correlators, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(triphoton.correlators, name, counting)
+    return calls
 
 
 def test_cli_import_loads_no_scipy():
@@ -64,6 +78,9 @@ def test_unknown_key_named():
         parse_config('{"phase_match": {"t12": -20.0}}')
     with pytest.raises(SchemaError, match="pump_power"):
         parse_config('{"pump_power": 1.0}')
+    # output.format was never read and is no longer part of the schema
+    with pytest.raises(SchemaError, match="format"):
+        parse_config('{"output": {"format": "csv"}}')
 
 
 def test_invariant_violations_rejected():
@@ -150,7 +167,49 @@ def test_correlate_combinations(tmp_path, fast_config, state, domain, order, suf
     assert rc == 0
     stem = f"correlate_{state}_{domain}_g{order}"
     assert (out / f"{stem}{suffix}").exists()
-    assert (out / f"{stem}_summary.json").exists()
+    summary = json.loads((out / f"{stem}_summary.json").read_text())
+    assert summary["outputs"] == [str(out / f"{stem}{suffix}")]
+    metrics = summary["metrics"]
+    if suffix == ".json":
+        flag = "delay_independent" if domain == "time" else "displacement_independent"
+        assert metrics == json.loads((out / f"{stem}.json").read_text())
+        assert set(metrics) == {"value", flag} and metrics[flag] is True
+    elif order == 3 and state == "w111":
+        # two-axis surface: a peak location per axis, no width
+        assert set(metrics) == {"peak_location"} and len(metrics["peak_location"]) == 2
+    else:
+        assert set(metrics) == {"fwhm", "peak_location"} and len(metrics["peak_location"]) == 1
+        assert metrics["fwhm"] > 0.0
+
+
+def test_correlate_physical_mask_drops_negative_delays_only(tmp_path):
+    doc = json.loads(json.dumps(FAST_CONFIG))
+    doc["grids"]["tau12_ps"] = {"start": -10.0, "step": 0.5, "count": 81}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+    def first_axis(domain, mask):
+        out = tmp_path / f"{domain}-{mask}"
+        assert main(["correlate", "--config", str(path), "--out", str(out),
+                     "--state", "ghz12", "--domain", domain, "--order", "3",
+                     f"--{mask}"]) == 0
+        rows = (out / f"correlate_ghz12_{domain}_g3.csv").read_text().splitlines()[1:]
+        return [float(r.split(",")[0]) for r in rows]
+
+    delays = first_axis("time", "physical-mask")
+    assert min(delays) == 0.0 and len(delays) == 61
+    assert min(first_axis("time", "no-physical-mask")) == -10.0
+    # displacements have no physical sign: the mask leaves them alone
+    assert first_axis("space", "physical-mask") == first_axis("space", "no-physical-mask")
+    assert min(first_axis("space", "physical-mask")) == -6.0
+
+
+def test_correlate_looks_up_correlators_at_call_time(tmp_path, fast_config, monkeypatch):
+    # wrappers installed on triphoton.correlators after import must see the call
+    calls = count_calls(monkeypatch, "g3_ghz_spatial")
+    assert main(["correlate", "--config", str(fast_config), "--out", str(tmp_path / "c"),
+                 "--state", "ghz12", "--domain", "space", "--order", "3"]) == 0
+    assert calls == ["g3_ghz_spatial"]
 
 
 def test_correlate_ghz_time_2_reports_constancy(tmp_path, fast_config):
@@ -210,11 +269,13 @@ def test_modes_minimal_grid_fast(tmp_path):
     assert time.perf_counter() - start < 1.0
 
 
-def test_sweep_filter_sigma_narrows_conditional(tmp_path, fast_config):
+def test_sweep_filter_sigma_narrows_conditional(tmp_path, fast_config, monkeypatch):
+    calls = count_calls(monkeypatch, "g2_w_temporal")
     out = tmp_path / "s"
     rc = main(["sweep", "--config", str(fast_config), "--out", str(out),
                "--param", "filter_sigma", "--values", "0.2,0.4,0.8"])
     assert rc == 0
+    assert len(calls) == 3
     rows = (out / "sweep_filter_sigma.csv").read_text().splitlines()
     assert rows[0].startswith("param,value,")
     pair_widths = [float(r.split(",")[2]) for r in rows[1:]]
@@ -234,7 +295,8 @@ def test_sweep_alpha_max_narrows_spatial(tmp_path, fast_config):
     assert widths[0] > widths[1] > widths[2]
 
 
-def test_sweep_n_bins(tmp_path, fast_config):
+def test_sweep_n_bins(tmp_path, fast_config, monkeypatch):
+    calls = count_calls(monkeypatch, "g2_w_temporal")
     out = tmp_path / "s"
     rc = main(["sweep", "--config", str(fast_config), "--out", str(out),
                "--param", "n_bins", "--values", "4,8"])
@@ -242,6 +304,9 @@ def test_sweep_n_bins(tmp_path, fast_config):
     rows = (out / "sweep_n_bins.csv").read_text().splitlines()[1:]
     negs = [float(r.split(",")[5]) for r in rows]
     assert all(n > 1e-6 for n in negs)
+    # the mode grid does not enter the correlators: one pass serves every row
+    assert len(calls) == 1
+    assert len({tuple(r.split(",")[2:5]) for r in rows}) == 1
 
 
 def test_sweep_usage_errors(tmp_path, fast_config):

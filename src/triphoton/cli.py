@@ -329,8 +329,6 @@ def _config_with_param(cfg_dict: dict[str, Any], param: str, value: float) -> Ex
         if value != int(value):
             raise UsageError(f"n_bins sweep values must be integers, got {value}")
         doc["mode_grid"]["n_bins"] = int(value)
-    else:
-        raise UsageError(f"parameter {param!r} is not sweepable; choose one of {', '.join(SWEEPABLE)}")
     row = parse_config(json.dumps(doc))
     # widen the integration span when the swept value pushes past it
     needed = corr.required_span(row.phase_match, row.filters)
@@ -412,8 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="summary metrics over one parameter")
     add_common(p_sweep)
-    p_sweep.add_argument("--param", required=True,
-                         help=f"one of: {', '.join(SWEEPABLE)}")
+    p_sweep.add_argument("--param", required=True, choices=SWEEPABLE)
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated numeric values")
     return parser

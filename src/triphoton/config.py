@@ -33,7 +33,7 @@ _DEFAULTS: dict[str, Any] = {
         "rho12_um": {"start": -8.0, "step": 0.0625, "count": 257},
         "rho32_um": {"start": -8.0, "step": 0.0625, "count": 257},
     },
-    "transverse": {"alpha_max_rad_per_um": 1.0, "dims": 1},
+    "transverse": {"alpha_max_rad_per_um": 1.0},
     "mode_grid": {"n_bins": 8, "nu_min_rad_per_ps": -1.2, "nu_max_rad_per_ps": 1.2},
     "output": {"dir": "."},
 }
@@ -106,12 +106,15 @@ def _parse_filter(obj, where: str) -> FilterSpec:
     shape = merged["shape"]
     if shape not in ("gaussian", "rectangular"):
         raise SchemaError(f"{where}.shape: expected 'gaussian' or 'rectangular', got {shape!r}")
-    try:
-        return FilterSpec(shape=shape,
-                          sigma=_number(merged, "sigma_rad_per_ps", where),
-                          center_offset=_number(merged, "center_offset_rad_per_ps", where))
-    except InvalidArgumentError as err:
-        raise SchemaError(f"{where}.sigma_rad_per_ps: {err}") from err
+    fields: dict[str, float] = {}
+    # adding one key at a time names the key a failure belongs to
+    for field, key in (("sigma", "sigma_rad_per_ps"), ("center_offset", "center_offset_rad_per_ps")):
+        fields[field] = _number(merged, key, where)
+        try:
+            spec = FilterSpec(shape=shape, **fields)
+        except InvalidArgumentError as err:
+            raise SchemaError(f"{where}.{key}: {err}") from err
+    return spec
 
 
 def _parse_grid(obj, where: str) -> Grid1D:
@@ -167,15 +170,14 @@ def parse_config(text: str | bytes) -> ExperimentConfig:
         raise SchemaError(f"quadrature: {err}") from err
 
     raw_grids = _require_mapping(doc.get("grids", {}), "grids")
-    grids = {name: _parse_grid(g, f"grids.{name}") for name, g in raw_grids.items()}
-    for name, g in _DEFAULTS["grids"].items():
-        grids.setdefault(name, _parse_grid(g, f"grids.{name}"))
+    _check_keys(raw_grids, tuple(_DEFAULTS["grids"]), "grids")
+    grids = {name: _parse_grid(raw_grids.get(name, g), f"grids.{name}")
+             for name, g in _DEFAULTS["grids"].items()}
 
     tv = _merged(_require_mapping(doc.get("transverse", {}), "transverse"),
                  _DEFAULTS["transverse"], "transverse")
     try:
-        transverse = TransverseWindow(alpha_max=_number(tv, "alpha_max_rad_per_um", "transverse"),
-                                      dims=_integer(tv, "dims", "transverse"))
+        transverse = TransverseWindow(alpha_max=_number(tv, "alpha_max_rad_per_um", "transverse"))
     except InvalidArgumentError as err:
         raise SchemaError(f"transverse: {err}") from err
 
@@ -211,8 +213,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:
                        "nu_span_rad_per_ps": cfg.quadrature.nu_span},
         "grids": {name: {"start": g.start, "step": g.step, "count": g.count}
                   for name, g in sorted(cfg.grids.items())},
-        "transverse": {"alpha_max_rad_per_um": cfg.transverse.alpha_max,
-                       "dims": cfg.transverse.dims},
+        "transverse": {"alpha_max_rad_per_um": cfg.transverse.alpha_max},
         "mode_grid": {"n_bins": cfg.mode_grid.n_bins,
                       "nu_min_rad_per_ps": cfg.mode_grid.nu_min,
                       "nu_max_rad_per_ps": cfg.mode_grid.nu_max},

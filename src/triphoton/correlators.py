@@ -50,16 +50,6 @@ from .spectra import (
 
 Method = Literal["fft", "quad"]
 
-KIND_G2_TEMPORAL = "g2_temporal"
-KIND_G3_TEMPORAL = "g3_temporal"
-KIND_G2_SPATIAL = "g2_spatial"
-KIND_G3_SPATIAL = "g3_spatial"
-STATE_W = "w111"
-STATE_GHZ = "ghz12"
-
-_KINDS = (KIND_G2_TEMPORAL, KIND_G3_TEMPORAL, KIND_G2_SPATIAL, KIND_G3_SPATIAL)
-_STATES = (STATE_W, STATE_GHZ)
-
 
 @dataclass(frozen=True)
 class Grid1D:
@@ -152,15 +142,9 @@ class CorrelationSurface:
 
     axes: tuple[Grid1D, ...]
     values: np.ndarray
-    kind: str
-    state: str
     normalized: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise InvalidArgumentError(f"unknown surface kind {self.kind!r}")
-        if self.state not in _STATES:
-            raise InvalidArgumentError(f"unknown state label {self.state!r}")
         axes = tuple(self.axes)
         if len(axes) not in (1, 2):
             raise InvalidArgumentError("a surface has one or two axes")
@@ -235,9 +219,7 @@ def _transform_czt(c: np.ndarray, nu: np.ndarray, taus: np.ndarray) -> np.ndarra
     """
     dnu = nu[1] - nu[0]
     tau0 = taus[0]
-    dtau = taus[1] - taus[0] if len(taus) > 1 else 0.0
-    if len(taus) == 1:
-        return c @ np.exp(1j * nu * tau0)[..., None]
+    dtau = taus[1] - taus[0]
     w = np.exp(1j * dnu * dtau)
     a = np.exp(-1j * dnu * tau0)
     out = czt(c, m=len(taus), w=w, a=a, axis=-1)
@@ -259,11 +241,12 @@ def _transform(c: np.ndarray, nu: np.ndarray, taus: np.ndarray, method: Method) 
 
 def _w_integrand(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
                  f3: FilterSpec | None, nu: np.ndarray) -> np.ndarray:
-    """Joint spectral amplitude samples F[i, j] over (nu1_i, nu3_j)."""
+    """Joint spectral amplitude samples F[i, j] over (nu1_i, nu3_j); the
+    undetected photon 2 sits at -(nu1 + nu3)."""
     nu1 = nu[:, None]
     nu3 = nu[None, :]
     F = (filter_eval(f1, nu)[:, None]
-         * filter_eval(f2, nu1 + nu3)
+         * filter_eval(f2, -nu1 - nu3)
          * phi(detuning_w(nu1, nu3, cfg)))
     if f3 is not None:
         F = F * filter_eval(f3, nu)[None, :]
@@ -286,7 +269,7 @@ def g2_w_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
     # transform over nu1 (axis 0) per nu3 sample, then trapezoid over nu3
     inner = _transform((w[:, None] * F).T, nu, grid.points(), method)
     vals = w @ (inner.real**2 + inner.imag**2)
-    surface = CorrelationSurface((grid,), vals, KIND_G2_TEMPORAL, STATE_W)
+    surface = CorrelationSurface((grid,), vals)
     return normalize_to_peak(surface) if normalized else surface
 
 
@@ -307,7 +290,7 @@ def g3_w_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec, f3: Fil
     half = _transform(F, nu, g32.points(), method)           # (n1, m32)
     amp = _transform(half.T, nu, g12.points(), method).T     # (m12, m32)
     vals = amp.real**2 + amp.imag**2
-    surface = CorrelationSurface((g12, g32), vals, KIND_G3_TEMPORAL, STATE_W)
+    surface = CorrelationSurface((g12, g32), vals)
     return normalize_to_peak(surface) if normalized else surface
 
 
@@ -330,7 +313,7 @@ def g3_w_conditional(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec, f3: 
     half = _transform(F.T, nu, u, method)                # (n3, m) transform over nu1
     amp = (half * phase3).sum(axis=0)
     vals = amp.real**2 + amp.imag**2
-    surface = CorrelationSurface((grid,), vals, KIND_G3_TEMPORAL, STATE_W)
+    surface = CorrelationSurface((grid,), vals)
     return normalize_to_peak(surface) if normalized else surface
 
 
@@ -368,7 +351,7 @@ def g3_ghz_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
     g = filter_eval(f1, nu) ** 2 * filter_eval(f2, nu) * phi(detuning_ghz(nu, cfg))
     amp = _transform(w * g, 2.0 * nu, grid.points(), method)
     vals = amp.real**2 + amp.imag**2
-    surface = CorrelationSurface((grid,), vals, KIND_G3_TEMPORAL, STATE_GHZ)
+    surface = CorrelationSurface((grid,), vals)
     return normalize_to_peak(surface) if normalized else surface
 
 
@@ -392,9 +375,7 @@ def g2_w_spatial(window: TransverseWindow, grid: Grid1D, *, n_points: int = 1024
     const3 = float(np.sum(w * W**2))
     inner = _transform(w * W, alpha, grid.points(), method)
     vals = const3 * (inner.real**2 + inner.imag**2)
-    if window.dims == 2:
-        vals = vals * float(np.sum(w * W))**2
-    surface = CorrelationSurface((grid,), vals, KIND_G2_SPATIAL, STATE_W)
+    surface = CorrelationSurface((grid,), vals)
     return normalize_to_peak(surface) if normalized else surface
 
 
@@ -410,10 +391,7 @@ def g3_w_spatial(window: TransverseWindow, grids: tuple[Grid1D, Grid1D], *, n_po
     a3 = _transform(c, alpha, g32.points(), method)
     amp = np.outer(a1, a3)
     vals = amp.real**2 + amp.imag**2
-    if window.dims == 2:
-        zero = float(np.sum(c))
-        vals = vals * zero**4
-    surface = CorrelationSurface((g12, g32), vals, KIND_G3_SPATIAL, STATE_W)
+    surface = CorrelationSurface((g12, g32), vals)
     return normalize_to_peak(surface) if normalized else surface
 
 
@@ -431,10 +409,7 @@ def g3_ghz_spatial(window: TransverseWindow, grid: Grid1D, *, n_points: int = 10
     c = w * W
     amp = _transform(c, 2.0 * alpha, grid.points(), method)
     vals = amp.real**2 + amp.imag**2
-    if window.dims == 2:
-        # second axis at zero displacement contributes a constant factor
-        vals = vals * float(np.sum(c)) ** 2
-    surface = CorrelationSurface((grid,), vals, KIND_G3_SPATIAL, STATE_GHZ)
+    surface = CorrelationSurface((grid,), vals)
     return normalize_to_peak(surface) if normalized else surface
 
 

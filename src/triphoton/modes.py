@@ -13,7 +13,9 @@ Frequency conservation also fixes the pair's sector: every pair vector
 heralded by a detection of the lost photon lies on one anti-diagonal
 a + b = s of the (photon-1 bin, partner bin) plane. The reduced pair
 state is therefore block diagonal in s, and its partial transpose in
-the difference a - b, each with 2n - 1 blocks of at most n x n.
+the difference a - b. Sectors s and s + n share no photon-1 bin, so
+folding s modulo n packs the state into n full blocks of n x n, and the
+partial transpose likewise into n blocks indexed by (a - b) mod n.
 ``SectorDensity`` stores and evaluates the reduced states in that form,
 at O(n^4) cost instead of the O(n^6) eigensolve of the dense n^2 x n^2
 ``DensityMatrix`` that ``reduce_w_trace3`` and
@@ -231,12 +233,14 @@ def _eigvalsh_nonzero(blocks: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SectorDensity:
-    """Two-photon density matrix stored by conservation sector.
+    """Two-photon density matrix stored in cyclic conservation sectors.
 
-    ``blocks[s, a, a']`` is <a, s-a| rho |a', s-a'> on an n-bin grid,
-    shape (2n - 1, n, n), with zeros wherever s - a or s - a' is off the
-    grid. Elements between different sectors are zero by frequency
-    conservation, so the blocks are the whole state. Validated like
+    ``blocks[t, a, a']`` is <a, (t-a) mod n| rho |a', (t-a') mod n> on an
+    n-bin grid, shape (n, n, n): every entry is a matrix element between
+    two pair basis states, and every pair state (a, b) appears once, in
+    block t = (a + b) mod n. Conservation confines rho to the sectors
+    a + b = s; block t holds sector t on rows a <= t and sector t + n on
+    rows a > t, so the blocks are the whole state. Validated like
     ``DensityMatrix``: Hermitian, unit trace, and no block eigenvalue
     below the PSD floor.
     """
@@ -245,13 +249,9 @@ class SectorDensity:
 
     def __post_init__(self) -> None:
         r = np.asarray(self.blocks, dtype=complex)
-        n = r.shape[1] if r.ndim == 3 else 0
-        if n < 1 or r.shape != (2 * n - 1, n, n):
-            raise InvalidArgumentError(f"sector blocks must have shape (2n-1, n, n), got {r.shape}")
-        b = np.arange(2 * n - 1)[:, None] - np.arange(n)  # partner bin s - a
-        rows = (b >= 0) & (b < n)
-        if np.any(r[~(rows[:, :, None] & rows[:, None, :])] != 0):
-            raise InvalidArgumentError("sector blocks carry weight on off-grid partner bins")
+        n = len(r) if r.ndim == 3 else 0
+        if n < 1 or r.shape != (n, n, n):
+            raise InvalidArgumentError(f"sector blocks must have shape (n, n, n), got {r.shape}")
         herm = float(np.max(np.abs(r - r.conj().transpose(0, 2, 1))))
         if herm > HERMITICITY_TOL:
             raise InvalidArgumentError(f"sector blocks are not Hermitian (max deviation {herm:.3e})")
@@ -274,31 +274,30 @@ class SectorDensity:
         matrix.
 
         Transposing photon 1 maps <a, b|rho|a', b'> to <a', b|rho|a, b'>,
-        which is block diagonal in d = a - b = a' - b' with
-        B_d[a, a'] = R_{a+a'-d}[a', a]; one batched eigensolve covers all
-        2n - 1 blocks.
+        which is zero unless a - b = a' - b'. The partial transpose is
+        therefore block diagonal in u = (a - b) mod n, with
+        B_u[a, a'] = R[(a + a' - u) mod n, a', a]; one gather and one
+        batched eigensolve cover all n blocks.
         """
-        n = self.blocks.shape[1]
-        # sectors -(n-1) .. 3n-3 are reachable; those off [0, 2n-2] read
-        # zero padding, and off-grid entries inside it are zero by validation
-        padded = np.zeros((4 * n - 3, n, n), dtype=complex)
-        padded[n - 1:3 * n - 2] = self.blocks
+        n = self.blocks.shape[0]
         a = np.arange(n)[None, :, None]
         ap = np.arange(n)[None, None, :]
-        d = np.arange(1 - n, n)[:, None, None]
-        pt = padded[a + ap - d + n - 1, ap, a]
-        eigs = _eigvalsh_nonzero(pt)
+        u = np.arange(n)[:, None, None]
+        eigs = _eigvalsh_nonzero(self.blocks[(a + ap - u) % n, ap, a])
         return float(-eigs[eigs < 0.0].sum()) + 0.0
 
     def max_offdiagonal(self) -> float:
-        """Largest |rho_ij| with i != j; elements between sectors are 0."""
-        n = self.blocks.shape[1]
+        """Largest |rho_ij| with i != j; elements between blocks are 0."""
+        n = self.blocks.shape[0]
         return float(np.abs(self.blocks[:, ~np.eye(n, dtype=bool)]).max(initial=0.0))
 
     def block_sizes(self) -> np.ndarray:
-        """Number of pair basis states each sector populates (nonzero
-        diagonal); a PSD block is zero outside those states."""
-        return np.count_nonzero(np.diagonal(self.blocks, axis1=1, axis2=2).real > 0.0, axis=1)
+        """Number of pair basis states each sector s = a + b populates
+        (nonzero diagonal), for s = 0 .. 2n - 2; a PSD block is zero
+        outside those states."""
+        n = self.blocks.shape[0]
+        t, a = np.nonzero(np.diagonal(self.blocks, axis1=1, axis2=2).real > 0.0)
+        return np.bincount(a + (t - a) % n, minlength=2 * n - 1)
 
 
 def w_pair_sectors(state: TriphotonTensor) -> SectorDensity:
@@ -306,9 +305,9 @@ def w_pair_sectors(state: TriphotonTensor) -> SectorDensity:
 
     Photon-3 bin k heralds |chi_k> = sum_i A[i, k] |i>|j(i,k)>, and every
     live entry of column k lies in the sector s_k = i + j(i, k), so the
-    column adds the outer product of A[:, k] to block s_k. A column whose
-    live entries span two sectors breaks conservation on the grid and is
-    rejected.
+    column adds the outer product of A[:, k] to block s_k mod n. A column
+    whose live entries span two sectors breaks conservation on the grid
+    and is rejected.
     """
     if state.kind != KIND_W:
         raise InvalidArgumentError(f"expected a {KIND_W} tensor, got {state.kind!r}")
@@ -325,19 +324,19 @@ def w_pair_sectors(state: TriphotonTensor) -> SectorDensity:
             "the grid does not conserve frequency bin by bin")
     used = s_k >= 0
     cols = state.amplitudes.T[used]  # off-grid entries are already 0
-    blocks = np.zeros((2 * n - 1, n, n), dtype=complex)
-    np.add.at(blocks, s_k[used], cols[:, :, None] * cols.conj()[:, None, :])
+    blocks = np.zeros((n, n, n), dtype=complex)
+    np.add.at(blocks, s_k[used] % n, cols[:, :, None] * cols.conj()[:, None, :])
     return SectorDensity(blocks)
 
 
 def ghz_pair_sectors(state: TriphotonTensor) -> SectorDensity:
     """``reduce_ghz_trace_one_degenerate`` in sector form: pair bin i
-    puts weight |B[i]|^2 on the diagonal of sector i + partner(i)."""
+    puts weight |B[i]|^2 on the diagonal of block (i + partner(i)) mod n."""
     if state.kind != KIND_GHZ:
         raise InvalidArgumentError(f"expected a {KIND_GHZ} tensor, got {state.kind!r}")
     n = state.grid.n_bins
     i = np.flatnonzero(state.partner_bins >= 0)
     amps = state.amplitudes[i]
-    blocks = np.zeros((2 * n - 1, n, n), dtype=complex)
-    blocks[i + state.partner_bins[i], i, i] = amps.real**2 + amps.imag**2
+    blocks = np.zeros((n, n, n), dtype=complex)
+    blocks[(i + state.partner_bins[i]) % n, i, i] = amps.real**2 + amps.imag**2
     return SectorDensity(blocks)

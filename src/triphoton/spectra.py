@@ -77,21 +77,15 @@ class TransverseWindow:
     ``alpha_max`` is the 1/e half-width of the amplitude window in rad/um.
     It regularizes the transverse integrals: an unbounded transverse mode
     spectrum would give ideal point-to-point correlation (a delta
-    function) and a divergent normalization. ``dims`` is the number of
-    transverse axes; the window is separable, so correlation curves along
-    one axis are identical for 1 and 2 dimensions after normalization.
+    function) and a divergent normalization.
     """
 
     alpha_max: float = 1.0
-    dims: int = 1
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.alpha_max) or self.alpha_max <= 0.0:
             raise InvalidArgumentError(f"alpha_max must be positive and finite, got {self.alpha_max!r}")
-        if self.dims not in (1, 2):
-            raise InvalidArgumentError(f"dims must be 1 or 2, got {self.dims!r}")
         object.__setattr__(self, "alpha_max", float(self.alpha_max))
-        object.__setattr__(self, "dims", int(self.dims))
 
 
 def phi(x):

@@ -81,13 +81,22 @@ def test_unknown_key_named():
     # output.format was never read and is no longer part of the schema
     with pytest.raises(SchemaError, match="format"):
         parse_config('{"output": {"format": "csv"}}')
+    # transverse.dims changed no output and is no longer part of the schema
+    with pytest.raises(SchemaError, match="transverse.dims"):
+        parse_config('{"transverse": {"dims": 1}}')
+    # a misspelt grid name would otherwise be ignored and echoed in summaries
+    with pytest.raises(SchemaError, match="grids.tau12: unknown key"):
+        parse_config('{"grids": {"tau12": {"start": 0.0, "step": 0.5, "count": 81}}}')
 
 
 def test_invariant_violations_rejected():
     with pytest.raises(SchemaError, match="t12_ps"):
         parse_config('{"phase_match": {"t12_ps": 0.0}}')
-    with pytest.raises(SchemaError, match="sigma"):
+    with pytest.raises(SchemaError, match=r"filters\[0\]\.sigma_rad_per_ps: filter sigma"):
         parse_config('{"filters": [{"sigma_rad_per_ps": -1.0}, {}]}')
+    with pytest.raises(SchemaError,
+                       match=r"filters\[1\]\.center_offset_rad_per_ps: filter center_offset"):
+        parse_config('{"filters": [{}, {"center_offset_rad_per_ps": Infinity}]}')
     with pytest.raises(SchemaError):
         parse_config('{"filters": []}')
     with pytest.raises(SchemaError):

@@ -20,6 +20,7 @@ from triphoton import (
     reduce_w_trace3,
     w_pair_sectors,
 )
+from triphoton.correlators import _w_integrand
 from triphoton.modes import SectorDensity
 from triphoton.qubits import DensityMatrix
 
@@ -36,13 +37,13 @@ W_NEGATIVITY_8_BINS = 0.014341692172571054
 
 
 def _dense_from_sectors(red: SectorDensity) -> np.ndarray:
-    """The n^2 x n^2 matrix the sector blocks stand for."""
-    n = red.blocks.shape[1]
+    """The n^2 x n^2 matrix the cyclic sector blocks stand for."""
+    n = red.blocks.shape[0]
     rho = np.zeros((n * n, n * n), dtype=complex)
-    for s in range(2 * n - 1):
-        a = np.arange(max(0, s - n + 1), min(s, n - 1) + 1)
-        flat = a * n + (s - a)
-        rho[np.ix_(flat, flat)] = red.blocks[s][np.ix_(a, a)]
+    a = np.arange(n)
+    for t in range(n):
+        flat = a * n + (t - a) % n
+        rho[np.ix_(flat, flat)] = red.blocks[t]
     return rho
 
 
@@ -53,6 +54,11 @@ def _dense_figures(rho: DensityMatrix) -> list[float]:
 
 def _assert_matches_dense(red: SectorDensity, rho: DensityMatrix) -> None:
     np.testing.assert_allclose(_dense_from_sectors(red), rho.matrix, rtol=0, atol=1e-15)
+    n = red.blocks.shape[0]
+    populated = np.diag(rho.matrix).real.reshape(n, n) > 0.0  # [a, b]
+    sector = np.add.outer(np.arange(n), np.arange(n))
+    np.testing.assert_array_equal(red.block_sizes(),
+                                  np.bincount(sector[populated], minlength=2 * n - 1))
     np.testing.assert_allclose([red.negativity(), red.purity(), red.max_offdiagonal()],
                                _dense_figures(rho), rtol=0, atol=1e-12)
 
@@ -295,19 +301,31 @@ def test_sector_w_column_spanning_two_sectors_rejected():
 
 
 def test_sector_density_validation():
-    blocks = np.zeros((3, 2, 2), dtype=complex)
+    blocks = np.zeros((2, 2, 2), dtype=complex)
     blocks[1] = [[0.5, 0.5], [0.5, 0.5]]  # (|0,1> + |1,0>)/sqrt(2)
     assert SectorDensity(blocks).purity() == pytest.approx(1.0, abs=1e-15)
     non_hermitian = blocks.copy()
     non_hermitian[1, 0, 1] = 0.5j
     negative = blocks.copy()
     negative[1] = [[0.5, 0.7], [0.7, 0.5]]
-    off_grid = blocks.copy()
-    off_grid[0] = [[0.0, 0.0], [0.0, 0.1]]  # partner bin 0 - 1 = -1
-    off_grid[1, 0, 0] = 0.4
-    for bad in (non_hermitian, negative, off_grid, blocks * 2.0, blocks[:2], blocks[:, :, :1]):
+    for bad in (non_hermitian, negative, blocks * 2.0, blocks[:1], blocks[:, :, :1],
+                np.zeros((3, 2, 2)), blocks[0]):
         with pytest.raises(InvalidArgumentError):
             SectorDensity(bad)
+
+
+def test_sector_density_cyclic_blocks_match_dense():
+    # blocks that also couple sector t to sector t + n (which conservation
+    # never populates) are still exact: every entry is a matrix element of
+    # a state block diagonal in (a + b) mod n
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 5, 8):
+        x = rng.normal(size=(n, n, n)) + 1j * rng.normal(size=(n, n, n))
+        blocks = x @ x.conj().transpose(0, 2, 1)
+        red = SectorDensity(blocks / np.trace(blocks, axis1=1, axis2=2).sum())
+        rho = DensityMatrix(_dense_from_sectors(red), (n, n))
+        assert red.negativity() > 1e-3
+        _assert_matches_dense(red, rho)
 
 
 def test_sector_negativity_continuum_limit():
@@ -323,3 +341,16 @@ def test_sector_negativity_continuum_limit():
     assert abs(n65 - n33) < 1e-5 * n33
     assert n33 == pytest.approx(0.12767, rel=1e-4)
     assert abs(n17 - n33) < 2e-3 * n33
+
+
+@pytest.mark.parametrize("f2", [FilterSpec("gaussian", 0.4, center_offset=0.3),
+                                FilterSpec("rectangular", 0.5, center_offset=0.3)])
+def test_w_integrand_matches_discrete_amplitudes(f2):
+    # photon 2 sits at -(nu1 + nu3) in both models, so on the bin centres
+    # the continuous integrand is the discrete amplitude up to normalization
+    grid = ModeGrid(9, -1.2, 1.2)
+    state = build_w_discrete(CFG, (GAUSS, f2, GAUSS), grid)
+    F = _w_integrand(CFG, GAUSS, f2, GAUSS, grid.centers())
+    on = state.partner_bins >= 0
+    scale = np.sqrt(np.sum(np.abs(F[on]) ** 2))
+    np.testing.assert_allclose(F[on] / scale, state.amplitudes[on], rtol=0, atol=1e-14)

@@ -137,5 +137,3 @@ def test_invalid_constructions():
         FilterSpec("triangular", sigma=0.4)
     with pytest.raises(InvalidArgumentError):
         TransverseWindow(alpha_max=-1.0)
-    with pytest.raises(InvalidArgumentError):
-        TransverseWindow(alpha_max=1.0, dims=3)

@@ -49,11 +49,9 @@ from .modes import (
     TriphotonTensor,
     build_ghz_discrete,
     build_w_discrete,
-    ghz_pair_sectors,
+    pair_sectors,
     purity,
-    reduce_ghz_trace_one_degenerate,
-    reduce_w_trace3,
-    w_pair_sectors,
+    reduce_lost_photon,
 )
 from .qubits import (
     DensityMatrix,

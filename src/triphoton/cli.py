@@ -277,9 +277,9 @@ def cmd_modes(cfg: ExperimentConfig, out_dir: Path) -> dict[str, Any]:
     grid = cfg.mode_grid
     f1, f2, f3 = _filters3(cfg)
 
-    w_red = mspace.w_pair_sectors(mspace.build_w_discrete(cfg.phase_match, (f1, f2, f3), grid))
+    w_red = mspace.pair_sectors(mspace.build_w_discrete(cfg.phase_match, (f1, f2, f3), grid))
     w_neg = w_red.negativity()
-    ghz_red = mspace.ghz_pair_sectors(mspace.build_ghz_discrete(cfg.phase_match, (f1, f2), grid))
+    ghz_red = mspace.pair_sectors(mspace.build_ghz_discrete(cfg.phase_match, (f1, f2), grid))
     ghz_neg = ghz_red.negativity()
     ghz_offdiag = ghz_red.max_offdiagonal()
 
@@ -326,7 +326,7 @@ def _config_with_param(cfg_dict: dict[str, Any], param: str, value: float) -> Ex
     elif param == "alpha_max":
         doc["transverse"]["alpha_max_rad_per_um"] = value
     elif param == "n_bins":
-        if value != int(value):
+        if not float(value).is_integer():
             raise UsageError(f"n_bins sweep values must be integers, got {value}")
         doc["mode_grid"]["n_bins"] = int(value)
     row = parse_config(json.dumps(doc))
@@ -366,9 +366,9 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, param: str, values: Sequence
             widths = [_fmt(corr.fwhm(pair)), _fmt(corr.fwhm(conditional)),
                       _fmt(corr.fwhm(spatial))]
             widths_inputs = inputs
-        w_red = mspace.w_pair_sectors(
+        w_red = mspace.pair_sectors(
             mspace.build_w_discrete(row_cfg.phase_match, (f1, f2, f3), row_cfg.mode_grid))
-        ghz_red = mspace.ghz_pair_sectors(
+        ghz_red = mspace.pair_sectors(
             mspace.build_ghz_discrete(row_cfg.phase_match, (f1, f2), row_cfg.mode_grid))
         lines.append(",".join([
             param, _fmt(float(value)), *widths,

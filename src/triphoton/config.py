@@ -138,7 +138,10 @@ def parse_config(text: str | bytes) -> ExperimentConfig:
     Violations raise SchemaError naming the offending key.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise SchemaError(f"not valid UTF-8: {err}") from err
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:

@@ -255,7 +255,7 @@ def _w_integrand(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
 
 def g2_w_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
                   quad: QuadratureSpec, grid: Grid1D, *,
-                  method: Method = "fft", normalized: bool = True) -> CorrelationSurface:
+                  method: Method = "fft") -> CorrelationSurface:
     """Two-photon temporal correlation of the three-mode state.
 
     The third photon is undetected: its frequency is integrated
@@ -269,13 +269,12 @@ def g2_w_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
     # transform over nu1 (axis 0) per nu3 sample, then trapezoid over nu3
     inner = _transform((w[:, None] * F).T, nu, grid.points(), method)
     vals = w @ (inner.real**2 + inner.imag**2)
-    surface = CorrelationSurface((grid,), vals)
-    return normalize_to_peak(surface) if normalized else surface
+    return normalize_to_peak(CorrelationSurface((grid,), vals))
 
 
 def g3_w_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec, f3: FilterSpec,
                   quad: QuadratureSpec, grids: tuple[Grid1D, Grid1D], *,
-                  method: Method = "fft", normalized: bool = True) -> CorrelationSurface:
+                  method: Method = "fft") -> CorrelationSurface:
     """Three-fold temporal correlation surface of the three-mode state.
 
     Values are indexed [a, b] with a on the photon-1 delay axis and b on
@@ -290,13 +289,12 @@ def g3_w_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec, f3: Fil
     half = _transform(F, nu, g32.points(), method)           # (n1, m32)
     amp = _transform(half.T, nu, g12.points(), method).T     # (m12, m32)
     vals = amp.real**2 + amp.imag**2
-    surface = CorrelationSurface((g12, g32), vals)
-    return normalize_to_peak(surface) if normalized else surface
+    return normalize_to_peak(CorrelationSurface((g12, g32), vals))
 
 
 def g3_w_conditional(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec, f3: FilterSpec,
                      quad: QuadratureSpec, grid: Grid1D, *,
-                     method: Method = "fft", normalized: bool = True) -> CorrelationSurface:
+                     method: Method = "fft") -> CorrelationSurface:
     """Three-fold correlation along the line tau32 = -tau12 + |t12|.
 
     Each point is a fresh evaluation of the double integral on the line;
@@ -313,8 +311,7 @@ def g3_w_conditional(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec, f3: 
     half = _transform(F.T, nu, u, method)                # (n3, m) transform over nu1
     amp = (half * phase3).sum(axis=0)
     vals = amp.real**2 + amp.imag**2
-    surface = CorrelationSurface((grid,), vals)
-    return normalize_to_peak(surface) if normalized else surface
+    return normalize_to_peak(CorrelationSurface((grid,), vals))
 
 
 def g2_ghz_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
@@ -338,7 +335,7 @@ def g2_ghz_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
 
 def g3_ghz_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
                     quad: QuadratureSpec, grid: Grid1D, *,
-                    method: Method = "fft", normalized: bool = True) -> CorrelationSurface:
+                    method: Method = "fft") -> CorrelationSurface:
     """Three-fold temporal correlation of the degenerate-pair state.
 
     The degenerate pair is detected together, so the delay enters the
@@ -351,8 +348,7 @@ def g3_ghz_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
     g = filter_eval(f1, nu) ** 2 * filter_eval(f2, nu) * phi(detuning_ghz(nu, cfg))
     amp = _transform(w * g, 2.0 * nu, grid.points(), method)
     vals = amp.real**2 + amp.imag**2
-    surface = CorrelationSurface((grid,), vals)
-    return normalize_to_peak(surface) if normalized else surface
+    return normalize_to_peak(CorrelationSurface((grid,), vals))
 
 
 def _alpha_nodes_weights(window: TransverseWindow, n_points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -361,7 +357,7 @@ def _alpha_nodes_weights(window: TransverseWindow, n_points: int) -> tuple[np.nd
 
 
 def g2_w_spatial(window: TransverseWindow, grid: Grid1D, *, n_points: int = 1024,
-                 method: Method = "fft", normalized: bool = True) -> CorrelationSurface:
+                 method: Method = "fft") -> CorrelationSurface:
     """Two-photon transverse correlation of the three-mode state.
 
     The undetected photon contributes an incoherent constant, the
@@ -375,12 +371,11 @@ def g2_w_spatial(window: TransverseWindow, grid: Grid1D, *, n_points: int = 1024
     const3 = float(np.sum(w * W**2))
     inner = _transform(w * W, alpha, grid.points(), method)
     vals = const3 * (inner.real**2 + inner.imag**2)
-    surface = CorrelationSurface((grid,), vals)
-    return normalize_to_peak(surface) if normalized else surface
+    return normalize_to_peak(CorrelationSurface((grid,), vals))
 
 
 def g3_w_spatial(window: TransverseWindow, grids: tuple[Grid1D, Grid1D], *, n_points: int = 1024,
-                 method: Method = "fft", normalized: bool = True) -> CorrelationSurface:
+                 method: Method = "fft") -> CorrelationSurface:
     """Three-fold transverse correlation surface of the three-mode state."""
     _check_method(method)
     g12, g32 = grids
@@ -391,12 +386,11 @@ def g3_w_spatial(window: TransverseWindow, grids: tuple[Grid1D, Grid1D], *, n_po
     a3 = _transform(c, alpha, g32.points(), method)
     amp = np.outer(a1, a3)
     vals = amp.real**2 + amp.imag**2
-    surface = CorrelationSurface((g12, g32), vals)
-    return normalize_to_peak(surface) if normalized else surface
+    return normalize_to_peak(CorrelationSurface((g12, g32), vals))
 
 
 def g3_ghz_spatial(window: TransverseWindow, grid: Grid1D, *, n_points: int = 1024,
-                   method: Method = "fft", normalized: bool = True) -> CorrelationSurface:
+                   method: Method = "fft") -> CorrelationSurface:
     """Three-fold transverse correlation of the degenerate-pair state.
 
     The pair is detected at one point, so the displacement kernel carries
@@ -409,8 +403,7 @@ def g3_ghz_spatial(window: TransverseWindow, grid: Grid1D, *, n_points: int = 10
     c = w * W
     amp = _transform(c, 2.0 * alpha, grid.points(), method)
     vals = amp.real**2 + amp.imag**2
-    surface = CorrelationSurface((grid,), vals)
-    return normalize_to_peak(surface) if normalized else surface
+    return normalize_to_peak(CorrelationSurface((grid,), vals))
 
 
 def g2_ghz_spatial(window: TransverseWindow, *, n_points: int = 1024,

@@ -2,12 +2,14 @@
 
 A coarse frequency grid turns each state into a small amplitude tensor,
 which makes the loss of one photon an exact partial trace on a finite
-Hilbert space. Frequency conservation fixes the undetected photon's bin:
-the three-mode state keeps a joint amplitude A[i, k] over the bins of
-photons 1 and 3, the degenerate-pair state a single amplitude B[i] over
-the bin shared by the pair. Detection filters are folded into the
-amplitudes, so the discrete state and the continuous correlators describe
-the same post-filter physics.
+Hilbert space. Both states share one form: an amplitude A[i, k] over the
+bins of detected photon 1 (rows) and of the lost photon (columns), with
+frequency conservation fixing the bin of the remaining partner photon.
+For the three-mode state the lost photon is photon 3 and A is a joint
+spectral amplitude. For the degenerate-pair state the lost photon is the
+second pair photon, which shares photon 1's bin, so A is diagonal.
+Detection filters are folded into the amplitudes, so the discrete state
+and the continuous correlators describe the same post-filter physics.
 
 Frequency conservation also fixes the pair's sector: every pair vector
 heralded by a detection of the lost photon lies on one anti-diagonal
@@ -18,9 +20,8 @@ folding s modulo n packs the state into n full blocks of n x n, and the
 partial transpose likewise into n blocks indexed by (a - b) mod n.
 ``SectorDensity`` stores and evaluates the reduced states in that form,
 at O(n^4) cost instead of the O(n^6) eigensolve of the dense n^2 x n^2
-``DensityMatrix`` that ``reduce_w_trace3`` and
-``reduce_ghz_trace_one_degenerate`` build; the dense reducers stay as
-the reference implementation.
+``DensityMatrix`` that ``reduce_lost_photon`` builds; the dense reducer
+stays as the reference implementation.
 """
 
 from __future__ import annotations
@@ -40,9 +41,6 @@ from .spectra import (
     filter_eval,
     phi,
 )
-
-KIND_W = "w111"
-KIND_GHZ = "ghz12"
 
 
 @dataclass(frozen=True)
@@ -95,36 +93,30 @@ class ModeGrid:
 class TriphotonTensor:
     """Discretized joint spectral amplitude of one triphoton state.
 
-    For the three-mode state, ``amplitudes`` is A[i, k] over the photon-1
-    and photon-3 bins and ``partner_bins`` holds the conservation bin of
-    photon 2. For the degenerate-pair state, ``amplitudes`` is B[i] over
-    the shared pair bin and ``partner_bins`` the bin of the lone photon.
-    Off-grid combinations carry amplitude 0 and partner bin -1.
+    ``amplitudes`` is A[i, k] over the bins of detected photon 1 (rows)
+    and of the lost photon (columns); ``partner_bins`` holds the
+    conservation bin of the remaining partner photon. Off-grid
+    combinations carry amplitude 0 and partner bin -1. The amplitudes
+    are normalized to unit norm.
     """
 
-    kind: str
     amplitudes: np.ndarray
     partner_bins: np.ndarray
     grid: ModeGrid
-    normalized: bool = True
 
     def __post_init__(self) -> None:
-        if self.kind not in (KIND_W, KIND_GHZ):
-            raise InvalidArgumentError(f"unknown state kind {self.kind!r}")
         amps = np.asarray(self.amplitudes, dtype=complex)
         bins = np.asarray(self.partner_bins, dtype=int)
         n = self.grid.n_bins
-        want = (n, n) if self.kind == KIND_W else (n,)
-        if amps.shape != want or bins.shape != want:
-            raise InvalidArgumentError(f"amplitude shape {amps.shape} does not match grid ({want})")
+        if amps.shape != (n, n) or bins.shape != (n, n):
+            raise InvalidArgumentError(f"amplitude shape {amps.shape} does not match grid {(n, n)}")
         if np.any((bins < -1) | (bins >= n)):
             raise InvalidArgumentError("partner bins must lie on the grid or be -1")
         if np.any((bins < 0) & (amps != 0)):
             raise InvalidArgumentError("off-grid entries must carry zero amplitude")
-        if self.normalized:
-            norm2 = float(np.sum(amps.real**2 + amps.imag**2))
-            if abs(norm2 - 1.0) > 1e-12:
-                raise InvalidArgumentError(f"norm^2 deviates from 1 by {abs(norm2 - 1.0):.3e}")
+        norm2 = float(np.sum(amps.real**2 + amps.imag**2))
+        if abs(norm2 - 1.0) > 1e-12:
+            raise InvalidArgumentError(f"norm^2 deviates from 1 by {abs(norm2 - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "partner_bins", bins)
 
@@ -154,7 +146,7 @@ def build_w_discrete(cfg: PhaseMatchConfig, filters: tuple[FilterSpec, FilterSpe
             * filter_eval(f2, nu2)
             * phi(detuning_w(nu[:, None], nu[None, :], cfg)))
     amps = np.where(on, amps, 0.0)
-    return TriphotonTensor(KIND_W, _normalize(amps), partner, grid)
+    return TriphotonTensor(_normalize(amps), partner, grid)
 
 
 def build_ghz_discrete(cfg: PhaseMatchConfig, filters: tuple[FilterSpec, FilterSpec],
@@ -162,8 +154,9 @@ def build_ghz_discrete(cfg: PhaseMatchConfig, filters: tuple[FilterSpec, FilterS
     """Degenerate-pair state on the bin grid.
 
     Both pair photons occupy bin i (the state is single-mode degenerate
-    by construction), the pair filter enters squared, and the lone photon
-    sits in the bin nearest to -2 nu1.
+    by construction), so A[i, k] = B[i] delta_ik: the pair filter enters
+    B squared, and the lone photon sits in the bin nearest to -2 nu1,
+    the partner bin on the diagonal (-1 off it).
     """
     f1, f2 = filters
     nu = grid.centers()
@@ -172,19 +165,21 @@ def build_ghz_discrete(cfg: PhaseMatchConfig, filters: tuple[FilterSpec, FilterS
     amps = (filter_eval(f1, nu) ** 2
             * filter_eval(f2, nu2)
             * phi(detuning_ghz(nu, cfg)))
-    amps = np.where(on, amps, 0.0)
-    return TriphotonTensor(KIND_GHZ, _normalize(amps), partner, grid)
+    amps = _normalize(np.where(on, amps, 0.0))
+    pair = np.eye(grid.n_bins, dtype=bool)
+    return TriphotonTensor(np.diag(amps), np.where(pair, partner[:, None], -1), grid)
 
 
-def reduce_w_trace3(state: TriphotonTensor) -> DensityMatrix:
-    """Trace photon 3 out of the three-mode state.
+def reduce_lost_photon(state: TriphotonTensor) -> DensityMatrix:
+    """Trace the lost photon out of a triphoton state.
 
-    Each photon-3 bin k heralds the (generally entangled) pair vector
+    Each lost-photon bin k heralds the pair vector
     |chi_k> = sum_i A[i, k] |i>|j(i,k)>; the reduction is the mixture of
-    their projectors over the n*n pair space.
+    their projectors over the n*n pair space. A column with several
+    nonzero entries heralds an entangled vector; the diagonal
+    degenerate-pair tensor heralds the product |k>|j(k,k)> from every
+    column, so its reduction is a diagonal, separable mixture.
     """
-    if state.kind != KIND_W:
-        raise InvalidArgumentError(f"expected a {KIND_W} tensor, got {state.kind!r}")
     n = state.grid.n_bins
     rho = np.zeros((n * n, n * n), dtype=complex)
     for k in range(n):
@@ -197,26 +192,6 @@ def reduce_w_trace3(state: TriphotonTensor) -> DensityMatrix:
         flat = np.arange(n)[live] * n + bins[live]
         np.add.at(chi, flat, col[live])
         rho += np.outer(chi, chi.conj())
-    return DensityMatrix(rho, (n, n))
-
-
-def reduce_ghz_trace_one_degenerate(state: TriphotonTensor) -> DensityMatrix:
-    """Trace one photon of the degenerate pair.
-
-    The surviving photon of the pair reveals its bin, so the remaining
-    two-photon state is diagonal in the bin basis: an incoherent mixture
-    of definite-mode product states with weights |B[i]|^2.
-    """
-    if state.kind != KIND_GHZ:
-        raise InvalidArgumentError(f"expected a {KIND_GHZ} tensor, got {state.kind!r}")
-    n = state.grid.n_bins
-    rho = np.zeros((n * n, n * n), dtype=complex)
-    weights = state.amplitudes.real**2 + state.amplitudes.imag**2
-    for i in range(n):
-        if state.partner_bins[i] < 0:
-            continue
-        flat = i * n + state.partner_bins[i]
-        rho[flat, flat] += weights[i]
     return DensityMatrix(rho, (n, n))
 
 
@@ -300,17 +275,15 @@ class SectorDensity:
         return np.bincount(a + (t - a) % n, minlength=2 * n - 1)
 
 
-def w_pair_sectors(state: TriphotonTensor) -> SectorDensity:
-    """``reduce_w_trace3`` in sector form.
+def pair_sectors(state: TriphotonTensor) -> SectorDensity:
+    """``reduce_lost_photon`` in sector form.
 
-    Photon-3 bin k heralds |chi_k> = sum_i A[i, k] |i>|j(i,k)>, and every
-    live entry of column k lies in the sector s_k = i + j(i, k), so the
-    column adds the outer product of A[:, k] to block s_k mod n. A column
-    whose live entries span two sectors breaks conservation on the grid
-    and is rejected.
+    Lost-photon bin k heralds |chi_k> = sum_i A[i, k] |i>|j(i,k)>, and
+    every live entry of column k lies in the sector s_k = i + j(i, k), so
+    the column adds the outer product of A[:, k] to block s_k mod n. A
+    column whose live entries span two sectors breaks conservation on the
+    grid and is rejected.
     """
-    if state.kind != KIND_W:
-        raise InvalidArgumentError(f"expected a {KIND_W} tensor, got {state.kind!r}")
     n = state.grid.n_bins
     live = state.partner_bins >= 0
     sector = np.where(live, np.arange(n)[:, None] + state.partner_bins, -1)
@@ -319,24 +292,11 @@ def w_pair_sectors(state: TriphotonTensor) -> SectorDensity:
     if split.size:
         k = int(split[0])
         raise InvalidArgumentError(
-            f"photon-3 bin {k} heralds a pair vector spanning sectors "
+            f"lost-photon bin {k} heralds a pair vector spanning sectors "
             f"{sorted(set(sector[live[:, k], k].tolist()))}; "
             "the grid does not conserve frequency bin by bin")
-    used = s_k >= 0
-    cols = state.amplitudes.T[used]  # off-grid entries are already 0
-    blocks = np.zeros((n, n, n), dtype=complex)
-    np.add.at(blocks, s_k[used] % n, cols[:, :, None] * cols.conj()[:, None, :])
-    return SectorDensity(blocks)
-
-
-def ghz_pair_sectors(state: TriphotonTensor) -> SectorDensity:
-    """``reduce_ghz_trace_one_degenerate`` in sector form: pair bin i
-    puts weight |B[i]|^2 on the diagonal of block (i + partner(i)) mod n."""
-    if state.kind != KIND_GHZ:
-        raise InvalidArgumentError(f"expected a {KIND_GHZ} tensor, got {state.kind!r}")
-    n = state.grid.n_bins
-    i = np.flatnonzero(state.partner_bins >= 0)
-    amps = state.amplitudes[i]
-    blocks = np.zeros((n, n, n), dtype=complex)
-    blocks[(i + state.partner_bins[i]) % n, i, i] = amps.real**2 + amps.imag**2
-    return SectorDensity(blocks)
+    used = np.flatnonzero(s_k >= 0)
+    # x[t, :, k] is column k when its sector folds to t; off-grid entries are already 0
+    x = np.zeros((n, n, n), dtype=complex)
+    x[s_k[used] % n, :, used] = state.amplitudes[:, used].T
+    return SectorDensity(x @ x.conj().transpose(0, 2, 1))

@@ -40,8 +40,7 @@ from triphoton import (
     parse_config,
     partial_trace,
     phi,
-    reduce_ghz_trace_one_degenerate,
-    reduce_w_trace3,
+    reduce_lost_photon,
     serialize_config,
 )
 from triphoton.correlators import required_span
@@ -176,8 +175,8 @@ def test_criterion_6_mode_space_separability():
     ok = True
     for n in (4, 8, 12):
         grid = ModeGrid(n, -1.2, 1.2)
-        w_red = reduce_w_trace3(build_w_discrete(CFG, (GAUSS, GAUSS, GAUSS), grid))
-        ghz_red = reduce_ghz_trace_one_degenerate(build_ghz_discrete(CFG, (GAUSS, GAUSS), grid))
+        w_red = reduce_lost_photon(build_w_discrete(CFG, (GAUSS, GAUSS, GAUSS), grid))
+        ghz_red = reduce_lost_photon(build_ghz_discrete(CFG, (GAUSS, GAUSS), grid))
         w_neg = negativity(w_red, (0,))
         ghz_neg = negativity(ghz_red, (0,))
         off = ghz_red.matrix - np.diag(np.diag(ghz_red.matrix))

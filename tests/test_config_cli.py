@@ -325,6 +325,9 @@ def test_sweep_usage_errors(tmp_path, fast_config):
                  "--param", "pump_power", "--values", "1,2"]) == 2
     assert main(["sweep", "--config", str(fast_config), "--out", str(tmp_path),
                  "--param", "filter_sigma", "--values", "a,b"]) == 2
+    for value in ("nan", "inf"):
+        assert main(["sweep", "--config", str(fast_config), "--out", str(tmp_path),
+                     "--param", "n_bins", "--values", value]) == 2
 
 
 def test_missing_explicit_config_is_usage_error(tmp_path):
@@ -335,6 +338,8 @@ def test_missing_explicit_config_is_usage_error(tmp_path):
 def test_schema_error_exit_code(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"phase_match": {"t12_ps": 0.0}}', encoding="utf-8")
+    assert main(["modes", "--config", str(path), "--out", str(tmp_path)]) == 2
+    path.write_bytes(b"\xff\xfe{}")  # not UTF-8
     assert main(["modes", "--config", str(path), "--out", str(tmp_path)]) == 2
 
 

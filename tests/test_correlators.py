@@ -246,14 +246,18 @@ def test_g3_ghz_half_width_of_single_photon_kernel():
 def test_g3_ghz_parseval():
     # delay integral of the unnormalized curve equals pi * int |g|^2 dnu,
     # the 2 pi Fourier weight halved by the doubled delay kernel
+    # the unnormalized curve is built here with the doubled phase kernel
     quad = QuadratureSpec(1024, 3.0)
     grid = Grid1D(-30.0, 0.125, 641)
-    curve = g3_ghz_temporal(CFG, GAUSS, GAUSS, quad, grid, normalized=False)
-    lhs = np.trapezoid(curve.values, grid.points())
     nu, w = quad.nodes_weights()
     g = filter_eval(GAUSS, nu) ** 2 * filter_eval(GAUSS, nu) * phi(detuning_ghz(nu, CFG))
+    curve = np.abs(np.exp(2j * np.outer(grid.points(), nu)) @ (w * g)) ** 2
+    lhs = np.trapezoid(curve, grid.points())
     rhs = np.pi * float(np.sum(w * np.abs(g) ** 2))
     assert lhs == pytest.approx(rhs, rel=1e-6)
+    # the direct engine evaluates the same phase-matrix sum
+    direct = g3_ghz_temporal(CFG, GAUSS, GAUSS, quad, grid, method="quad")
+    np.testing.assert_allclose(direct.values, curve / curve.max(), rtol=0, atol=1e-12)
 
 
 def test_spatial_closed_forms():

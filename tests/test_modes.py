@@ -13,12 +13,10 @@ from triphoton import (
     TriphotonTensor,
     build_ghz_discrete,
     build_w_discrete,
-    ghz_pair_sectors,
     negativity,
+    pair_sectors,
     purity,
-    reduce_ghz_trace_one_degenerate,
-    reduce_w_trace3,
-    w_pair_sectors,
+    reduce_lost_photon,
 )
 from triphoton.correlators import _w_integrand
 from triphoton.modes import SectorDensity
@@ -125,13 +123,16 @@ def test_build_ghz_single_center_bin():
     grid = ModeGrid(3, -1.0, 1.0)
     state = build_ghz_discrete(TINY_T, (FLAT, FLAT), grid)
     # -2 nu stays on the grid only for the center bin
-    np.testing.assert_allclose(np.abs(state.amplitudes), [0.0, 1.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(np.abs(state.amplitudes), np.diag([0.0, 1.0, 0.0]), atol=1e-12)
+    np.testing.assert_array_equal(state.partner_bins, [[-1, -1, -1], [-1, 1, -1], [-1, -1, -1]])
 
 
 def test_build_ghz_mirror_symmetry():
     grid = ModeGrid(9, -1.2, 1.2)
     state = build_ghz_discrete(CFG, (GAUSS, GAUSS), grid)
-    mags = np.abs(state.amplitudes)
+    # both pair photons share a bin: only the diagonal is populated
+    mags = np.diag(np.abs(state.amplitudes))
+    np.testing.assert_array_equal(np.abs(state.amplitudes), np.diag(mags))
     np.testing.assert_allclose(mags, mags[::-1], atol=1e-14)
     assert np.sum(mags**2) == pytest.approx(1.0, abs=1e-12)
 
@@ -142,8 +143,8 @@ def test_reduce_w_single_slice_pure():
     amps[0, 0] = np.sqrt(0.4)
     amps[1, 0] = np.sqrt(0.6)
     partner = np.array([[1, -1], [0, -1]])
-    state = TriphotonTensor("w111", amps, partner, grid)
-    rho = reduce_w_trace3(state)
+    state = TriphotonTensor(amps, partner, grid)
+    rho = reduce_lost_photon(state)
     assert purity(rho) == pytest.approx(1.0, abs=1e-12)
     # the slice is itself a two-mode pure state; negativities must match
     chi = np.zeros(4, dtype=complex)
@@ -151,7 +152,7 @@ def test_reduce_w_single_slice_pure():
     chi[1 * 2 + 0] = amps[1, 0]
     expected = negativity(PureState(chi, (2, 2)).density(), (0,))
     assert negativity(rho, (0,)) == pytest.approx(expected, abs=1e-12)
-    sectors = w_pair_sectors(state)
+    sectors = pair_sectors(state)
     _assert_matches_dense(sectors, rho)
     assert sectors.purity() == pytest.approx(1.0, abs=1e-12)
     assert sectors.negativity() == pytest.approx(expected, abs=1e-12)
@@ -160,14 +161,14 @@ def test_reduce_w_single_slice_pure():
 def test_reduce_w_conservation_alone_entangles():
     grid = ModeGrid(6, -1.0, 1.0)
     state = build_w_discrete(TINY_T, (FLAT, FLAT, FLAT), grid)
-    rho = reduce_w_trace3(state)
+    rho = reduce_lost_photon(state)
     assert negativity(rho, (0,)) > 1e-6
 
 
 def test_reduce_w_regression_value():
     grid = ModeGrid(8, -1.2, 1.2)
     state = build_w_discrete(CFG, (GAUSS, GAUSS, GAUSS), grid)
-    value = negativity(reduce_w_trace3(state), (0,))
+    value = negativity(reduce_lost_photon(state), (0,))
     assert value == pytest.approx(W_NEGATIVITY_8_BINS, rel=1e-9)
     assert value > 1e-6
 
@@ -175,10 +176,10 @@ def test_reduce_w_regression_value():
 def test_reduce_w_global_phase_invariance():
     grid = ModeGrid(5, -1.0, 1.0)
     state = build_w_discrete(CFG, (GAUSS, GAUSS, GAUSS), grid)
-    rotated = TriphotonTensor("w111", state.amplitudes * np.exp(0.7j),
+    rotated = TriphotonTensor(state.amplitudes * np.exp(0.7j),
                               state.partner_bins, grid)
-    a = reduce_w_trace3(state).matrix
-    b = reduce_w_trace3(rotated).matrix
+    a = reduce_lost_photon(state).matrix
+    b = reduce_lost_photon(rotated).matrix
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -186,7 +187,7 @@ def test_reduce_ghz_diagonal_and_separable():
     for n in (4, 8, 12):
         grid = ModeGrid(n, -1.2, 1.2)
         state = build_ghz_discrete(CFG, (GAUSS, GAUSS), grid)
-        rho = reduce_ghz_trace_one_degenerate(state)
+        rho = reduce_lost_photon(state)
         off = rho.matrix - np.diag(np.diag(rho.matrix))
         assert np.abs(off).max() < 1e-14
         assert negativity(rho, (0,)) <= 1e-10
@@ -195,35 +196,21 @@ def test_reduce_ghz_diagonal_and_separable():
 def test_reduce_ghz_single_bin_pure_product():
     grid = ModeGrid(3, -1.0, 1.0)
     state = build_ghz_discrete(TINY_T, (FLAT, FLAT), grid)
-    rho = reduce_ghz_trace_one_degenerate(state)
+    rho = reduce_lost_photon(state)
     assert purity(rho) == pytest.approx(1.0, abs=1e-12)
     assert negativity(rho, (0,)) <= 1e-12
-
-
-def test_reduce_type_mismatch():
-    grid = ModeGrid(3, -1.0, 1.0)
-    w_state = build_w_discrete(CFG, (GAUSS, GAUSS, GAUSS), grid)
-    ghz_state = build_ghz_discrete(CFG, (GAUSS, GAUSS), grid)
-    with pytest.raises(InvalidArgumentError):
-        reduce_w_trace3(ghz_state)
-    with pytest.raises(InvalidArgumentError):
-        reduce_ghz_trace_one_degenerate(w_state)
-    with pytest.raises(InvalidArgumentError):
-        w_pair_sectors(ghz_state)
-    with pytest.raises(InvalidArgumentError):
-        ghz_pair_sectors(w_state)
 
 
 def test_purity_values():
     grid = ModeGrid(4, -1.0, 1.0)
     # uniform diagonal mixture over n bins has purity 1/n
-    amps = np.full(4, 0.5, dtype=complex)
-    partner = np.array([3, 2, 1, 0])
-    state = TriphotonTensor("ghz12", amps, partner, grid)
-    rho = reduce_ghz_trace_one_degenerate(state)
+    amps = np.diag(np.full(4, 0.5, dtype=complex))
+    partner = np.where(np.eye(4, dtype=bool), [[3], [2], [1], [0]], -1)
+    state = TriphotonTensor(amps, partner, grid)
+    rho = reduce_lost_photon(state)
     assert purity(rho) == pytest.approx(0.25, abs=1e-12)
     # all four pairs share sector i + partner = 3
-    sectors = ghz_pair_sectors(state)
+    sectors = pair_sectors(state)
     _assert_matches_dense(sectors, rho)
     assert sectors.purity() == pytest.approx(0.25, abs=1e-12)
     assert sectors.block_sizes().tolist() == [0, 0, 0, 4, 0, 0, 0]
@@ -237,14 +224,14 @@ def test_separability_signatures_across_grid_sizes():
     # span hugs the filter passband, so two spans are exercised
     for n in range(2, 13):
         grid = ModeGrid(n, -0.4, 0.4)
-        w_red = reduce_w_trace3(build_w_discrete(CFG, (GAUSS, GAUSS, GAUSS), grid))
-        ghz_red = reduce_ghz_trace_one_degenerate(build_ghz_discrete(CFG, (GAUSS, GAUSS), grid))
+        w_red = reduce_lost_photon(build_w_discrete(CFG, (GAUSS, GAUSS, GAUSS), grid))
+        ghz_red = reduce_lost_photon(build_ghz_discrete(CFG, (GAUSS, GAUSS), grid))
         assert negativity(w_red, (0,)) > 1e-6
         assert negativity(ghz_red, (0,)) <= 1e-10
     for n in (4, 8, 12):
         grid = ModeGrid(n, -1.2, 1.2)
-        w_red = reduce_w_trace3(build_w_discrete(CFG, (GAUSS, GAUSS, GAUSS), grid))
-        ghz_red = reduce_ghz_trace_one_degenerate(build_ghz_discrete(CFG, (GAUSS, GAUSS), grid))
+        w_red = reduce_lost_photon(build_w_discrete(CFG, (GAUSS, GAUSS, GAUSS), grid))
+        ghz_red = reduce_lost_photon(build_ghz_discrete(CFG, (GAUSS, GAUSS), grid))
         assert negativity(w_red, (0,)) > 1e-6
         assert negativity(ghz_red, (0,)) <= 1e-10
 
@@ -255,7 +242,7 @@ def test_negativity_convergence_smoke():
     vals = []
     for n in (4, 8, 16):
         grid = ModeGrid(n, -0.8, 0.8)
-        vals.append(negativity(reduce_w_trace3(
+        vals.append(negativity(reduce_lost_photon(
             build_w_discrete(CFG, (GAUSS, GAUSS, GAUSS), grid)), (0,)))
     assert vals[0] < vals[1] < vals[2]
     assert abs(vals[2] - vals[1]) < abs(vals[1] - vals[0])
@@ -264,17 +251,17 @@ def test_negativity_convergence_smoke():
 def test_tensor_validation():
     grid = ModeGrid(2, -1.0, 1.0)
     with pytest.raises(InvalidArgumentError):
-        TriphotonTensor("w111", np.zeros((3, 3), dtype=complex),
+        TriphotonTensor(np.zeros((3, 3), dtype=complex),
                         np.zeros((3, 3), dtype=int), grid)
     amps = np.zeros((2, 2), dtype=complex)
     amps[0, 0] = 1.0
     bad_partner = np.full((2, 2), 5)
     with pytest.raises(InvalidArgumentError):
-        TriphotonTensor("w111", amps, bad_partner, grid)
+        TriphotonTensor(amps, bad_partner, grid)
     off_grid_amp = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     partner = np.array([[-1, 0], [0, 0]])
     with pytest.raises(InvalidArgumentError):
-        TriphotonTensor("w111", off_grid_amp, partner, grid)
+        TriphotonTensor(off_grid_amp, partner, grid)
 
 
 @pytest.mark.parametrize("span", [(-1.2, 1.2), (-0.4, 0.4), (-1.0, 1.0), (-1.3, 0.9)])
@@ -283,9 +270,16 @@ def test_sector_path_matches_dense_oracle(span):
         grid = ModeGrid(n, *span)
         w_state = build_w_discrete(CFG, (GAUSS, GAUSS, GAUSS), grid)
         ghz_state = build_ghz_discrete(CFG, (GAUSS, GAUSS), grid)
-        _assert_matches_dense(w_pair_sectors(w_state), reduce_w_trace3(w_state))
-        _assert_matches_dense(ghz_pair_sectors(ghz_state),
-                              reduce_ghz_trace_one_degenerate(ghz_state))
+        _assert_matches_dense(pair_sectors(w_state), reduce_lost_photon(w_state))
+        ghz_red = reduce_lost_photon(ghz_state)
+        _assert_matches_dense(pair_sectors(ghz_state), ghz_red)
+        # losing one pair photon leaves sum_i |B_i|^2 |i, p_i><i, p_i|
+        b = np.diag(ghz_state.amplitudes)
+        p = np.diag(ghz_state.partner_bins)
+        on = p >= 0
+        expected = np.zeros(n * n)
+        expected[np.flatnonzero(on) * n + p[on]] = np.abs(b[on]) ** 2
+        np.testing.assert_allclose(ghz_red.matrix, np.diag(expected), rtol=0, atol=1e-15)
 
 
 def test_sector_w_column_spanning_two_sectors_rejected():
@@ -294,10 +288,10 @@ def test_sector_w_column_spanning_two_sectors_rejected():
     amps[0, 0] = amps[1, 0] = np.sqrt(0.5)
     # i + partner is 1 for the first entry and 2 for the second
     partner = np.array([[1, -1, -1], [1, -1, -1], [-1, -1, -1]])
-    state = TriphotonTensor("w111", amps, partner, grid)
-    reduce_w_trace3(state)  # the dense path has no sector structure to break
+    state = TriphotonTensor(amps, partner, grid)
+    reduce_lost_photon(state)  # the dense path has no sector structure to break
     with pytest.raises(InvalidArgumentError, match="sectors"):
-        w_pair_sectors(state)
+        pair_sectors(state)
 
 
 def test_sector_density_validation():
@@ -335,8 +329,8 @@ def test_sector_negativity_continuum_limit():
     w_negs = []
     for n in (17, 33, 65):
         grid = ModeGrid(n, -1.2, 1.2)
-        w_negs.append(w_pair_sectors(build_w_discrete(CFG, (GAUSS, GAUSS, GAUSS), grid)).negativity())
-        assert ghz_pair_sectors(build_ghz_discrete(CFG, (GAUSS, GAUSS), grid)).negativity() == 0.0
+        w_negs.append(pair_sectors(build_w_discrete(CFG, (GAUSS, GAUSS, GAUSS), grid)).negativity())
+        assert pair_sectors(build_ghz_discrete(CFG, (GAUSS, GAUSS), grid)).negativity() == 0.0
     n17, n33, n65 = w_negs
     assert abs(n65 - n33) < 1e-5 * n33
     assert n33 == pytest.approx(0.12767, rel=1e-4)

@@ -32,6 +32,7 @@ from .correlators import (
     g3_w_spatial,
     g3_w_temporal,
     normalize_to_peak,
+    w_temporal_panels,
 )
 from .errors import (
     AmbiguousWidthError,

@@ -89,14 +89,15 @@ def write_surface_csv(path: Path, axis_names: tuple[str, str], value_name: str,
     xs = surface.axes[0].points()
     ys = surface.axes[1].points()
     vals = surface.values
+    if mask_negative_axis:
+        vals = vals[xs >= 0.0][:, ys >= 0.0]
+        xs, ys = xs[xs >= 0.0], ys[ys >= 0.0]
+    # each axis value is formatted once, not once per cell
+    ys_text = [f",{_fmt(y)}," for y in ys]
     lines = [f"{axis_names[0]},{axis_names[1]},{value_name}"]
-    for a, x in enumerate(xs):
-        if mask_negative_axis and x < 0.0:
-            continue
-        for b, y in enumerate(ys):
-            if mask_negative_axis and y < 0.0:
-                continue
-            lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(vals[a, b])}")
+    for x, row in zip(xs, vals.tolist()):
+        x_text = _fmt(x)
+        lines += [x_text + y + _fmt(v) for y, v in zip(ys_text, row)]
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -140,9 +141,8 @@ def cmd_figure1(cfg: ExperimentConfig, out_dir: Path, physical_mask: bool = True
     g12 = cfg.grid("tau12_ps")
     g32 = cfg.grid("tau32_ps")
 
-    surface = corr.g3_w_temporal(cfg.phase_match, f1, f2, f3, cfg.quadrature, (g12, g32))
-    conditional = corr.g3_w_conditional(cfg.phase_match, f1, f2, f3, cfg.quadrature, g12)
-    pair = corr.g2_w_temporal(cfg.phase_match, f1, f2, cfg.quadrature, g12)
+    surface, conditional, pair = corr.w_temporal_panels(cfg.phase_match, f1, f2, f3,
+                                                        cfg.quadrature, (g12, g32))
 
     paths = {
         "a": out_dir / "fig1a_g3_w_temporal.csv",

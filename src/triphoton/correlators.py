@@ -14,6 +14,12 @@ grids by two interchangeable engines:
 Both engines sum the identical trapezoid-weighted samples, so they must
 agree to rounding error; a disagreement means one of them is wrong.
 
+The W-state temporal correlators share one stage: the joint spectral
+amplitude, assembled from 1-D tables, transformed once over photon 1. The
+pair correlation sums it incoherently over photon 3, the surface
+transforms it over photon 3, the conditional slice takes a phase-weighted
+photon-3 sum; ``w_temporal_panels`` returns all three from one pass.
+
 Delay kernels use exp(+i nu tau). With the negative group-delay
 parameters used throughout, this places the correlation support on
 positive delays, where coincidences are physically recorded; the number
@@ -42,7 +48,6 @@ from .spectra import (
     PhaseMatchConfig,
     TransverseWindow,
     detuning_ghz,
-    detuning_w,
     filter_eval,
     phi,
     window_eval,
@@ -242,15 +247,57 @@ def _transform(c: np.ndarray, nu: np.ndarray, taus: np.ndarray, method: Method) 
 def _w_integrand(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
                  f3: FilterSpec | None, nu: np.ndarray) -> np.ndarray:
     """Joint spectral amplitude samples F[i, j] over (nu1_i, nu3_j); the
-    undetected photon 2 sits at -(nu1 + nu3)."""
-    nu1 = nu[:, None]
-    nu3 = nu[None, :]
-    F = (filter_eval(f1, nu)[:, None]
-         * filter_eval(f2, -nu1 - nu3)
-         * phi(detuning_w(nu1, nu3, cfg)))
-    if f3 is not None:
-        F = F * filter_eval(f3, nu)[None, :]
+    undetected photon 2 sits at -(nu1 + nu3).
+
+    ``nu`` must be uniform (``QuadratureSpec.nodes_weights`` and
+    ``ModeGrid.centers`` are): f2 then depends on i + j alone and is read
+    from 2n - 1 samples through a Hankel view. With x/2 = p_i + q_j, phi's
+    phase is an outer product and sin(x/2) has rank 2 by angle addition,
+    which loses relative accuracy as x -> 0: |x/2| < 0.1 takes np.sinc.
+    """
+    f2_diag = filter_eval(f2, -np.concatenate((nu[0] + nu, nu[-1] + nu[1:])))
+    p = -0.5 * cfg.t12 * nu
+    q = -0.5 * cfg.t32 * nu
+    half = p[:, None] + q[None, :]
+    env = np.column_stack((np.sin(p), np.cos(p))) @ np.vstack((np.cos(q), np.sin(q)))
+    small = np.abs(half) < 0.1
+    np.divide(env, half, out=env, where=~small)
+    env[small] = np.sinc(half[small] / np.pi)
+    env *= np.lib.stride_tricks.sliding_window_view(f2_diag, len(nu))   # [i, j] -> [i + j]
+    b = np.exp(-1j * q) * (1.0 if f3 is None else filter_eval(f3, nu))
+    F = np.outer(filter_eval(f1, nu) * np.exp(-1j * p), b)
+    F *= env
     return F
+
+
+def _w_photon1(cfg: PhaseMatchConfig, filters: tuple[FilterSpec, ...], quad: QuadratureSpec,
+               grid: Grid1D, method: Method) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes, weights and the photon-1 transform every W temporal correlator
+    reduces: inner[j, a] = sum_i w_i F(nu_i, nu_j) exp(+i nu_i tau12_a), F
+    taken without arm 3."""
+    _check_method(method)
+    quad.validate_for(cfg, filters)
+    nu, w = quad.nodes_weights()
+    F = _w_integrand(cfg, filters[0], filters[1], None, nu)
+    F *= w[:, None]
+    return nu, w, _transform(F.T, nu, grid.points(), method)
+
+
+def _w_pair(w: np.ndarray, inner: np.ndarray, grid: Grid1D) -> CorrelationSurface:
+    return normalize_to_peak(CorrelationSurface((grid,), w @ (inner.real**2 + inner.imag**2)))
+
+
+def _w_surface(nu: np.ndarray, c3: np.ndarray, inner: np.ndarray,
+               grids: tuple[Grid1D, Grid1D], method: Method) -> CorrelationSurface:
+    amp = _transform((c3[:, None] * inner).T, nu, grids[1].points(), method)   # (m12, m32)
+    return normalize_to_peak(CorrelationSurface(grids, amp.real**2 + amp.imag**2))
+
+
+def _w_conditional(cfg: PhaseMatchConfig, nu: np.ndarray, c3: np.ndarray, inner: np.ndarray,
+                   grid: Grid1D) -> CorrelationSurface:
+    tau32 = abs(cfg.t12) - grid.points()
+    amp = (c3[:, None] * inner * np.exp(1j * np.outer(nu, tau32))).sum(axis=0)
+    return normalize_to_peak(CorrelationSurface((grid,), amp.real**2 + amp.imag**2))
 
 
 def g2_w_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
@@ -262,14 +309,8 @@ def g2_w_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
     incoherently (outside the modulus), which is what keeps a finite
     correlation width after the loss.
     """
-    _check_method(method)
-    quad.validate_for(cfg, (f1, f2))
-    nu, w = quad.nodes_weights()
-    F = _w_integrand(cfg, f1, f2, None, nu)
-    # transform over nu1 (axis 0) per nu3 sample, then trapezoid over nu3
-    inner = _transform((w[:, None] * F).T, nu, grid.points(), method)
-    vals = w @ (inner.real**2 + inner.imag**2)
-    return normalize_to_peak(CorrelationSurface((grid,), vals))
+    nu, w, inner = _w_photon1(cfg, (f1, f2), quad, grid, method)
+    return _w_pair(w, inner, grid)
 
 
 def g3_w_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec, f3: FilterSpec,
@@ -280,16 +321,8 @@ def g3_w_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec, f3: Fil
     Values are indexed [a, b] with a on the photon-1 delay axis and b on
     the photon-3 delay axis.
     """
-    _check_method(method)
-    quad.validate_for(cfg, (f1, f2, f3))
-    g12, g32 = grids
-    nu, w = quad.nodes_weights()
-    F = _w_integrand(cfg, f1, f2, f3, nu) * w[:, None] * w[None, :]
-    # nu3 axis -> tau32, then nu1 axis -> tau12
-    half = _transform(F, nu, g32.points(), method)           # (n1, m32)
-    amp = _transform(half.T, nu, g12.points(), method).T     # (m12, m32)
-    vals = amp.real**2 + amp.imag**2
-    return normalize_to_peak(CorrelationSurface((g12, g32), vals))
+    nu, w, inner = _w_photon1(cfg, (f1, f2, f3), quad, grids[0], method)
+    return _w_surface(nu, w * filter_eval(f3, nu), inner, grids, method)
 
 
 def g3_w_conditional(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec, f3: FilterSpec,
@@ -301,17 +334,23 @@ def g3_w_conditional(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec, f3: 
     nothing is interpolated from a 2-D surface, so width measurements on
     this slice carry no resampling error.
     """
-    _check_method(method)
-    quad.validate_for(cfg, (f1, f2, f3))
-    nu, w = quad.nodes_weights()
-    u = grid.points()
-    tau32 = -u + abs(cfg.t12)
-    F = _w_integrand(cfg, f1, f2, f3, nu) * w[:, None] * w[None, :]
-    phase3 = np.exp(1j * np.outer(nu, tau32))            # (n3, m)
-    half = _transform(F.T, nu, u, method)                # (n3, m) transform over nu1
-    amp = (half * phase3).sum(axis=0)
-    vals = amp.real**2 + amp.imag**2
-    return normalize_to_peak(CorrelationSurface((grid,), vals))
+    nu, w, inner = _w_photon1(cfg, (f1, f2, f3), quad, grid, method)
+    return _w_conditional(cfg, nu, w * filter_eval(f3, nu), inner, grid)
+
+
+def w_temporal_panels(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec, f3: FilterSpec,
+                      quad: QuadratureSpec, grids: tuple[Grid1D, Grid1D], *,
+                      method: Method = "fft") -> tuple[CorrelationSurface, ...]:
+    """The three W temporal correlators of Fig. 1 from one integrand and one
+    photon-1 transform: ``(surface, conditional, pair)``, the surface over
+    ``grids`` and both curves on ``grids[0]``. Each panel equals what
+    ``g3_w_temporal``, ``g3_w_conditional`` and ``g2_w_temporal`` return.
+    """
+    nu, w, inner = _w_photon1(cfg, (f1, f2, f3), quad, grids[0], method)
+    c3 = w * filter_eval(f3, nu)
+    return (_w_surface(nu, c3, inner, grids, method),
+            _w_conditional(cfg, nu, c3, inner, grids[0]),
+            _w_pair(w, inner, grids[0]))
 
 
 def g2_ghz_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,

@@ -42,6 +42,7 @@ from triphoton import (
     phi,
     reduce_lost_photon,
     serialize_config,
+    w_temporal_panels,
 )
 from triphoton.correlators import required_span
 from triphoton.cli import main
@@ -149,6 +150,9 @@ def test_criterion_5_engine_equivalence_on_every_correlator():
                                                        gt, method=m).values,
         "g3_ghz_temporal": lambda m: g3_ghz_temporal(CFG, GAUSS, GAUSS, quad, gt,
                                                      method=m).values,
+        "w_temporal_panels": lambda m: np.concatenate([
+            s.values.ravel() for s in w_temporal_panels(CFG, GAUSS, GAUSS, GAUSS, quad,
+                                                        (gt, gt), method=m)]),
         "g2_w_spatial": lambda m: g2_w_spatial(win, gs, n_points=512, method=m).values,
         "g3_w_spatial": lambda m: g3_w_spatial(win, (gs, gs), n_points=512, method=m).values,
         "g3_ghz_spatial": lambda m: g3_ghz_spatial(win, gs, n_points=512, method=m).values,

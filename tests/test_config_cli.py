@@ -241,6 +241,38 @@ def test_correlate_matches_figure1_surface(tmp_path, fast_config):
     assert a == b
 
 
+def test_figure1_builds_the_integrand_once(tmp_path, fast_config, monkeypatch):
+    # the three panels share one integrand and one photon-1 transform; the
+    # surface adds the only other chirp-z
+    integrands = count_calls(monkeypatch, "_w_integrand")
+    transforms = count_calls(monkeypatch, "czt")
+    assert main(["figure1", "--config", str(fast_config), "--out", str(tmp_path / "f")]) == 0
+    assert len(integrands) == 1
+    assert len(transforms) == 2
+
+
+@pytest.mark.parametrize("mask", ["physical-mask", "no-physical-mask"])
+def test_surface_csv_matches_per_cell_formatting(tmp_path, mask):
+    doc = json.loads(json.dumps(FAST_CONFIG))
+    doc["grids"]["tau12_ps"] = {"start": -10.0, "step": 0.5, "count": 41}
+    doc["grids"]["tau32_ps"] = {"start": -10.0, "step": 0.75, "count": 27}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "c"
+    assert main(["correlate", "--config", str(path), "--out", str(out),
+                 "--state", "w111", "--domain", "time", "--order", "3", f"--{mask}"]) == 0
+    cfg = parse_config(json.dumps(doc))
+    grids = (cfg.grid("tau12_ps"), cfg.grid("tau32_ps"))
+    surface = triphoton.g3_w_temporal(cfg.phase_match, *cfg.filters, cfg.quadrature, grids)
+    xs, ys = (g.points() for g in grids)
+    keep = mask == "physical-mask"
+    lines = ["tau12_ps,tau32_ps,g3"]
+    lines += [f"{x:.12e},{y:.12e},{surface.values[a, b]:.12e}"
+              for a, x in enumerate(xs) for b, y in enumerate(ys)
+              if not keep or (x >= 0.0 and y >= 0.0)]
+    assert (out / "correlate_w111_time_g3.csv").read_text() == "\n".join(lines) + "\n"
+
+
 def test_correlate_bad_flag_usage_error(tmp_path, fast_config):
     rc = main(["correlate", "--config", str(fast_config), "--state", "w111",
                "--domain", "time", "--order", "5"])

@@ -11,6 +11,7 @@ from triphoton import (
     FilterSpec,
     Grid1D,
     InvalidArgumentError,
+    ModeGrid,
     PhaseMatchConfig,
     QuadratureSpec,
     TransverseWindow,
@@ -25,9 +26,16 @@ from triphoton import (
     g3_w_spatial,
     g3_w_temporal,
     normalize_to_peak,
+    w_temporal_panels,
 )
-from triphoton.correlators import _fast_len, _transform_czt, _transform_direct, czt
-from triphoton.spectra import detuning_ghz, filter_eval, phi
+from triphoton.correlators import (
+    _fast_len,
+    _transform_czt,
+    _transform_direct,
+    _w_integrand,
+    czt,
+)
+from triphoton.spectra import detuning_ghz, detuning_w, filter_eval, phi
 
 CFG = PhaseMatchConfig(-20.0, -20.0)
 GAUSS = FilterSpec("gaussian", 0.4)
@@ -113,6 +121,74 @@ def test_fast_len_is_smallest_5_smooth_length():
         if smooth(n):
             expected = n
         assert _fast_len(n) == expected, n
+
+
+def _w_integrand_elementwise(cfg, f1, f2, f3, nu):
+    """Oracle: every factor of the joint spectral amplitude evaluated on
+    the full (nu1, nu3) grid, photon 2 at -(nu1 + nu3)."""
+    nu1 = nu[:, None]
+    nu3 = nu[None, :]
+    F = (filter_eval(f1, nu)[:, None]
+         * filter_eval(f2, -nu1 - nu3)
+         * phi(detuning_w(nu1, nu3, cfg)))
+    if f3 is not None:
+        F = F * filter_eval(f3, nu)[None, :]
+    return F
+
+
+NU_1024 = QuadratureSpec(1024, 3.0).nodes_weights()[0]
+
+
+@pytest.mark.parametrize("cfg, f2, f3, nu", [
+    (CFG, GAUSS, GAUSS, NU_1024),                        # x = 0 on an anti-diagonal
+    (CFG, GAUSS, None, NU_1024),
+    (PhaseMatchConfig(-20.0, 17.0), GAUSS, GAUSS, NU_1024),
+    (PhaseMatchConfig(-21.3, -18.7), FilterSpec("gaussian", 0.4, center_offset=0.3),
+     GAUSS, NU_1024),
+    (CFG, FilterSpec("rectangular", 0.5, center_offset=0.3), GAUSS, NU_1024),
+    (CFG, FilterSpec("rectangular", 0.5, center_offset=0.3), GAUSS,
+     ModeGrid(17, -1.3, 0.9).centers()),
+    (CFG, GAUSS, GAUSS, QuadratureSpec(2, 3.0).nodes_weights()[0]),
+])
+def test_w_integrand_matches_elementwise_oracle(cfg, f2, f3, nu):
+    np.testing.assert_allclose(_w_integrand(cfg, GAUSS, f2, f3, nu),
+                               _w_integrand_elementwise(cfg, GAUSS, f2, f3, nu),
+                               rtol=0, atol=1e-14)
+
+
+def test_w_integrand_rectangular_f2_edge_is_one_value_per_anti_diagonal():
+    # the passband edges fall exactly on anti-diagonals 923 and 1123 of the
+    # default grid; each anti-diagonal is one photon-2 frequency, so it must
+    # be all in or all out, whatever the rounding of nu1 + nu3
+    n = len(NU_1024)
+    f2 = FilterSpec("rectangular", 100 * (6.0 / 1023))
+    F = _w_integrand(CFG, FLAT, f2, None, NU_1024)
+    env = phi(detuning_w(NU_1024[:, None], NU_1024[None, :], CFG))
+    on = np.abs(env) > 1e-3
+    ratio = (F / np.where(on, env, 1.0))[on]
+    assert np.abs(ratio.imag).max() < 1e-12
+    diag = np.add.outer(np.arange(n), np.arange(n))[on]
+    lo = np.full(2 * n - 1, np.inf)
+    hi = np.full(2 * n - 1, -np.inf)
+    np.minimum.at(lo, diag, ratio.real)
+    np.maximum.at(hi, diag, ratio.real)
+    seen = np.isfinite(lo)
+    assert np.max(hi[seen] - lo[seen]) < 1e-12
+
+
+@pytest.mark.parametrize("method", ["fft", "quad"])
+def test_w_temporal_panels_equal_standalone_correlators(method):
+    g12 = Grid1D(0.0, 0.5, 41)
+    g32 = Grid1D(-2.0, 0.75, 23)
+    f3 = FilterSpec("gaussian", 0.35, center_offset=0.1)
+    surface, conditional, pair = w_temporal_panels(CFG, GAUSS, GAUSS, f3, QUAD, (g12, g32),
+                                                   method=method)
+    alone = (g3_w_temporal(CFG, GAUSS, GAUSS, f3, QUAD, (g12, g32), method=method),
+             g3_w_conditional(CFG, GAUSS, GAUSS, f3, QUAD, g12, method=method),
+             g2_w_temporal(CFG, GAUSS, GAUSS, QUAD, g12, method=method))
+    for panel, reference in zip((surface, conditional, pair), alone):
+        assert panel.axes == reference.axes
+        np.testing.assert_array_equal(panel.values, reference.values)
 
 
 def test_grid_points_and_validation():

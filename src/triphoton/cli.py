@@ -416,10 +416,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bind_values(argv: Sequence[str]) -> list[str]:
+    """Join ``--values`` to the token after it: argparse takes a token such
+    as ``-20,-10`` for an option, since it starts with '-' and is not one
+    negative number."""
+    argv = list(argv)
+    if "--values" in argv[:-1]:
+        i = argv.index("--values")
+        argv[i:i + 2] = [f"--values={argv[i + 1]}"]
+    return argv
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_bind_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

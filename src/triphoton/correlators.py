@@ -16,9 +16,12 @@ agree to rounding error; a disagreement means one of them is wrong.
 
 The W-state temporal correlators share one stage: the joint spectral
 amplitude, assembled from 1-D tables, transformed once over photon 1. The
-pair correlation sums it incoherently over photon 3, the surface
-transforms it over photon 3, the conditional slice takes a phase-weighted
-photon-3 sum; ``w_temporal_panels`` returns all three from one pass.
+surface transforms it over photon 3, the conditional slice takes a
+phase-weighted photon-3 sum, the pair correlation sums its modulus
+squared over photon 3; ``w_temporal_panels`` returns all three from one
+pass. The standalone pair correlation's fft path skips that stage: it
+transforms the photon-1 autocorrelation (Wiener-Khinchin), one row
+whatever the grid, with an absolute rounding floor of ~n eps of the peak.
 
 Delay kernels use exp(+i nu tau). With the negative group-delay
 parameters used throughout, this places the correlation support on
@@ -255,19 +258,36 @@ def _w_integrand(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
     phase is an outer product and sin(x/2) has rank 2 by angle addition,
     which loses relative accuracy as x -> 0: |x/2| < 0.1 takes np.sinc.
     """
+    return _assemble(*_w_tables(cfg, f1, f2, f3, nu))
+
+
+def _w_tables(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec, f3: FilterSpec | None,
+              nu: np.ndarray) -> tuple[np.ndarray, tuple, tuple]:
+    """The 1-D tables of ``_w_integrand``: f2 on the 2n - 1 anti-diagonals,
+    and (a, p) for photon 1 and (b, q) for photon 3, with
+    F[i, j] = a_i b_j f2[i + j] sin(p_i + q_j) / (p_i + q_j)."""
     f2_diag = filter_eval(f2, -np.concatenate((nu[0] + nu, nu[-1] + nu[1:])))
     p = -0.5 * cfg.t12 * nu
     q = -0.5 * cfg.t32 * nu
+    b = np.exp(-1j * q) * (1.0 if f3 is None else filter_eval(f3, nu))
+    return f2_diag, (filter_eval(f1, nu) * np.exp(-1j * p), p), (b, q)
+
+
+def _assemble(f2_diag: np.ndarray, rows: tuple, cols: tuple, out: np.ndarray | None = None
+              ) -> np.ndarray:
+    """M[i, j] = a_i b_j f2_diag[i + j] sin(p_i + q_j) / (p_i + q_j) from
+    rows = (a, p) and cols = (b, q). The formula is symmetric under swapping
+    the two, so swapping them builds the transpose directly, into ``out``."""
+    (a, p), (b, q) = rows, cols
     half = p[:, None] + q[None, :]
     env = np.column_stack((np.sin(p), np.cos(p))) @ np.vstack((np.cos(q), np.sin(q)))
     small = np.abs(half) < 0.1
     np.divide(env, half, out=env, where=~small)
     env[small] = np.sinc(half[small] / np.pi)
-    env *= np.lib.stride_tricks.sliding_window_view(f2_diag, len(nu))   # [i, j] -> [i + j]
-    b = np.exp(-1j * q) * (1.0 if f3 is None else filter_eval(f3, nu))
-    F = np.outer(filter_eval(f1, nu) * np.exp(-1j * p), b)
-    F *= env
-    return F
+    env *= np.lib.stride_tricks.sliding_window_view(f2_diag, len(q))   # [i, j] -> [i + j]
+    M = np.multiply.outer(a, b, out=out)
+    M *= env
+    return M
 
 
 def _w_photon1(cfg: PhaseMatchConfig, filters: tuple[FilterSpec, ...], quad: QuadratureSpec,
@@ -308,9 +328,63 @@ def g2_w_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
     The third photon is undetected: its frequency is integrated
     incoherently (outside the modulus), which is what keeps a finite
     correlation width after the loss.
+
+    ``method="quad"`` transforms photon 1 onto the grid with the direct
+    phase matrix and sums |inner|^2 over photon 3. ``method="fft"`` uses
+    Wiener-Khinchin instead: with c_ij = w_i F(nu_i, nu_j) on uniform nodes,
+    sum_j w_j |sum_i c_ij e^{i nu_i tau}|^2 = sum_d R_d e^{i d dnu tau}, where
+    R_d = sum_j w_j sum_i c_{i+d,j} conj(c_ij) is the photon-1
+    autocorrelation summed over photon 3. One zero-padded FFT over photon 1
+    and one inverse FFT give R; one chirp-z of its n lags d >= 0 (R is
+    Hermitian) gives the curve, so the grid adds one row of work, not n.
+    Its error is an absolute floor of ~n eps of the peak, so a grid that
+    sees only the curve's tail is rejected (``DegenerateInputError``).
     """
-    nu, w, inner = _w_photon1(cfg, (f1, f2), quad, grid, method)
-    return _w_pair(w, inner, grid)
+    _check_method(method)
+    if method == "quad":
+        nu, w, inner = _w_photon1(cfg, (f1, f2), quad, grid, method)
+        return _w_pair(w, inner, grid)
+    quad.validate_for(cfg, (f1, f2))
+    nu, w = quad.nodes_weights()
+    n = len(nu)
+    L = _fast_len(2 * n - 1)
+    f2_diag, (a, p), cols3 = _w_tables(cfg, f1, f2, None, nu)
+    # photon 1 on the contiguous axis: buf[j, i] = c_ij, zero-padded to L
+    buf = np.zeros((n, L), dtype=complex)
+    _assemble(f2_diag, cols3, (w * a, p), out=buf[:, :n])
+    np.fft.fft(buf, axis=-1, out=buf)
+    sq = buf.view(float)
+    sq *= sq
+    power = w @ sq                                   # interleaved re^2, im^2
+    R = np.fft.ifft(power[0::2] + power[1::2])
+    # R[-d] = conj(R[d]): the curve is 2 Re sum_{d >= 0} R_d e^{i d dnu tau} - R_0.
+    # The step is taken without the cancellation of nu[1] - nu[0], the grid's
+    # start and step as given: lag phases reach (n - 1) dnu tau.
+    dnu = (nu[-1] - nu[0]) / (n - 1)
+    amp = czt(R[:n], grid.count, np.exp(1j * dnu * grid.step), np.exp(-1j * dnu * grid.start))
+    vals = 2.0 * amp.real - R[0].real
+    return normalize_to_peak(CorrelationSurface((grid,), _clip_rounding(vals, n)))
+
+
+# The autocorrelation route's error is absolute: a rounding floor of order
+# n eps of the peak, not a fraction of each value. The most negative value
+# seen with the peak on the grid is -4.6 n eps (n = 128, a grid several
+# periods 2 pi / dnu long), -1.6 n eps for n >= 257 and -0.5 n eps for n >= 512.
+_ROUNDING_FLOOR = 16.0
+
+
+def _clip_rounding(vals: np.ndarray, n: int) -> np.ndarray:
+    """Zero the values that rounding alone made negative, those no lower
+    than -_ROUNDING_FLOOR * n * eps of the peak on the grid. Anything lower
+    means the grid holds only the curve's rounding-level tail."""
+    floor = _ROUNDING_FLOOR * n * np.finfo(float).eps * vals.max()
+    if not vals.min() >= -floor:
+        raise DegenerateInputError(
+            f"pair correlation reaches {vals.min():.3e} on this grid, below the rounding "
+            f"floor -{floor:.3e} ({_ROUNDING_FLOOR:g} n eps of the peak {vals.max():.3e}); "
+            "the grid holds only the curve's rounding-level tail")
+    vals[vals < 0.0] = 0.0
+    return vals
 
 
 def g3_w_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec, f3: FilterSpec,
@@ -343,8 +417,10 @@ def w_temporal_panels(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec, f3:
                       method: Method = "fft") -> tuple[CorrelationSurface, ...]:
     """The three W temporal correlators of Fig. 1 from one integrand and one
     photon-1 transform: ``(surface, conditional, pair)``, the surface over
-    ``grids`` and both curves on ``grids[0]``. Each panel equals what
-    ``g3_w_temporal``, ``g3_w_conditional`` and ``g2_w_temporal`` return.
+    ``grids`` and both curves on ``grids[0]``. The surface and the slice
+    equal what ``g3_w_temporal`` and ``g3_w_conditional`` return; the pair
+    equals ``g2_w_temporal`` on ``quad`` and agrees with its fft route to
+    rounding.
     """
     nu, w, inner = _w_photon1(cfg, (f1, f2, f3), quad, grids[0], method)
     c3 = w * filter_eval(f3, nu)

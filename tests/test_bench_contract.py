@@ -1,0 +1,71 @@
+"""The benchmark's contract with the program, checked without running it.
+
+``perfbench`` drives ``cli.main`` and checks every command's outputs
+against ``perfbench/reference.json``; its traced run wraps public names
+and re-evaluates each correlator call with ``method="quad"``. These tests
+run one pool entry of every command kind both ways, so a change that
+breaks an import, a name, an output or the engine agreement the
+benchmark relies on fails here. Nothing under ``perfbench/`` is edited.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from triphoton import cli, correlators, modes, qubits
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+wl = _load("workloads")
+tracing = _load("tracing")
+REFERENCE = wl.load_reference()
+# one pool entry of every command kind the reference records
+CASES = [(workload, kind) for workload, pool in REFERENCE["workloads"].items()
+         for kind in pool[0]["expected"]]
+
+
+def _run(workload, kind, tmp_path, tracer=None):
+    pool = REFERENCE["workloads"][workload]
+    cfg = wl.write_config(pool, 0, tmp_path / "cfg")
+    out = tmp_path / "out"
+    wl.clear(out)
+    argv = wl.argv_for(kind, str(cfg), str(out))
+    if tracer is None:
+        code = cli.main(argv)
+    else:
+        tracer.install(cli, correlators, modes, qubits)
+        try:
+            code, _ = tracer.run_command(lambda: cli.main(argv))
+        finally:
+            tracer.uninstall()
+    assert code == 0
+    problems, nbytes = wl.check(kind, out, pool[0]["expected"][kind])
+    assert problems == []
+    return nbytes
+
+
+def test_reference_covers_every_command_kind():
+    kinds = {kind for _, kind in CASES}
+    assert kinds == {"figure1", "modes", *wl.CORRELATE_KINDS}
+
+
+@pytest.mark.parametrize("workload, kind", CASES)
+def test_command_matches_reference(workload, kind, tmp_path):
+    _run(workload, kind, tmp_path)
+
+
+@pytest.mark.parametrize("kind", wl.CORRELATE_KINDS)
+def test_traced_command_passes_engine_check(kind, tmp_path):
+    tracer = tracing.Tracer()
+    _run("correlate-fine", kind, tmp_path, tracer)
+    assert tracer.fft_quad_maxrel < 1e-9
+    assert sum(tracer.calls[f"correlators.{name}"] for name in tracing.CORRELATORS) == 1

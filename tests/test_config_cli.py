@@ -350,6 +350,34 @@ def test_sweep_n_bins(tmp_path, fast_config, monkeypatch):
     assert len({tuple(r.split(",")[2:5]) for r in rows}) == 1
 
 
+@pytest.mark.parametrize("spelling", [["--values", "-20,-10"], ["--values=-20,-10"]])
+def test_sweep_takes_negative_values_after_the_flag(tmp_path, fast_config, spelling):
+    # the walk-offs are negative; argparse reads "-20,-10" as an option
+    # unless --values binds it
+    out = tmp_path / "s"
+    rc = main(["sweep", "--config", str(fast_config), "--out", str(out),
+               "--param", "t12_ps", *spelling])
+    assert rc == 0
+    rows = (out / "sweep_t12_ps.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[1]) for r in rows] == [-20.0, -10.0]
+    # the pair correlation's support is |t12| long
+    pair_widths = [float(r.split(",")[2]) for r in rows]
+    assert pair_widths[0] > pair_widths[1]
+
+
+def test_correlate_w_pair_on_a_long_rounding_tail(tmp_path):
+    # 0-200 ps at the default quadrature: the tail lies below the fft pair
+    # correlation's rounding floor, which must not make the command fail
+    doc = {"grids": {"tau12_ps": {"start": 0.0, "step": 0.2, "count": 1001}}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "c"
+    assert main(["correlate", "--config", str(path), "--out", str(out),
+                 "--state", "w111", "--domain", "time", "--order", "2"]) == 0
+    values = np.loadtxt(out / "correlate_w111_time_g2.csv", delimiter=",", skiprows=1)[:, 1]
+    assert values.min() >= 0.0 and values.max() == 1.0
+
+
 def test_sweep_usage_errors(tmp_path, fast_config):
     assert main(["sweep", "--config", str(fast_config), "--out", str(tmp_path),
                  "--param", "filter_sigma", "--values", ""]) == 2

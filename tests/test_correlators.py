@@ -28,11 +28,16 @@ from triphoton import (
     normalize_to_peak,
     w_temporal_panels,
 )
+from triphoton import correlators
 from triphoton.correlators import (
+    _ROUNDING_FLOOR,
+    _clip_rounding,
     _fast_len,
     _transform_czt,
     _transform_direct,
     _w_integrand,
+    _w_pair,
+    _w_photon1,
     czt,
 )
 from triphoton.spectra import detuning_ghz, detuning_w, filter_eval, phi
@@ -188,7 +193,94 @@ def test_w_temporal_panels_equal_standalone_correlators(method):
              g2_w_temporal(CFG, GAUSS, GAUSS, QUAD, g12, method=method))
     for panel, reference in zip((surface, conditional, pair), alone):
         assert panel.axes == reference.axes
-        np.testing.assert_array_equal(panel.values, reference.values)
+    np.testing.assert_array_equal(surface.values, alone[0].values)
+    np.testing.assert_array_equal(conditional.values, alone[1].values)
+    if method == "quad":
+        np.testing.assert_array_equal(pair.values, alone[2].values)
+    else:
+        # the standalone fft pair takes the autocorrelation route, the panel
+        # the shared photon-1 chirp-z, whose chirp phases reach 770 rad here
+        # and carry ~1e-13 of rounding; the standalone pair is within 1e-14
+        # of the direct sum
+        np.testing.assert_allclose(pair.values, alone[2].values, rtol=0, atol=2e-13)
+        direct = g2_w_temporal(CFG, GAUSS, GAUSS, QUAD, g12, method="quad")
+        np.testing.assert_allclose(alone[2].values, direct.values, rtol=0, atol=1e-14)
+
+
+QUAD_1024 = QuadratureSpec(1024, 3.0)
+OFFSET = FilterSpec("gaussian", 0.3, center_offset=0.2)
+
+
+@pytest.mark.parametrize("cfg, f1, f2, quad, grid", [
+    (CFG, GAUSS, GAUSS, QUAD, Grid1D(4.0, 3.5, 2)),                           # m = 2
+    (CFG, GAUSS, GAUSS, QUAD, Grid1D(0.0, 0.5, 41)),                          # m = 41
+    (CFG, GAUSS, GAUSS, QUAD_1024, Grid1D(0.0, 32.0 / 2560, 2561)),           # m = 2561
+    (CFG, GAUSS, GAUSS, QUAD, Grid1D(-30.0, 0.25, 241)),                      # negative start
+    (CFG, GAUSS, GAUSS, QuadratureSpec(257, 3.0), Grid1D(-5.0, 0.25, 121)),   # odd n_points
+    (CFG, GAUSS, GAUSS, QuadratureSpec(2, 3.0), Grid1D(-5.0, 0.5, 41)),       # n_points = 2
+    (CFG, GAUSS, FilterSpec("rectangular", 0.5, center_offset=0.3), QUAD,     # rectangular f2
+     Grid1D(-5.0, 0.25, 121)),
+    (PhaseMatchConfig(-21.3, -18.7), OFFSET,                                  # offset centres,
+     FilterSpec("gaussian", 0.35, center_offset=-0.15), QUAD,                 # t12 != t32
+     Grid1D(-5.0, 0.25, 121)),
+    (PhaseMatchConfig(-20.0, 17.0), GAUSS, GAUSS, QUAD, Grid1D(-5.0, 0.25, 121)),
+])
+def test_g2_w_autocorrelation_matches_direct_routes(cfg, f1, f2, quad, grid):
+    fast = g2_w_temporal(cfg, f1, f2, quad, grid)
+    direct = g2_w_temporal(cfg, f1, f2, quad, grid, method="quad")
+    # the photon-1 chirp-z transform reduced by |inner|^2, the route the
+    # figure1 panel takes
+    nu, w, inner = _w_photon1(cfg, (f1, f2), quad, grid, "fft")
+    chirp = _w_pair(w, inner, grid)
+    assert fast.axes == direct.axes
+    np.testing.assert_allclose(fast.values, direct.values, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fast.values, chirp.values, rtol=0, atol=1e-11)
+
+
+def test_g2_w_fft_transforms_one_row_of_lags(monkeypatch):
+    # the delay grid costs one chirp-z of the n autocorrelation lags d >= 0,
+    # not one per photon-3 node
+    seen = []
+    real = correlators.czt
+
+    def spy(x, m, w, a, axis=-1):
+        seen.append((np.shape(x), m))
+        return real(x, m, w, a, axis)
+
+    monkeypatch.setattr(correlators, "czt", spy)
+    g2_w_temporal(CFG, GAUSS, GAUSS, QUAD_1024, Grid1D(0.0, 0.25, 161))
+    assert seen == [((1024,), 161)]
+
+
+@pytest.mark.parametrize("grid", [Grid1D(0.0, 0.2, 1001), Grid1D(-40.0, 0.2, 1001)])
+def test_g2_w_rounding_tail_reads_zero(grid, monkeypatch):
+    # on a long tail the autocorrelation route leaves values that rounding
+    # made negative; they read 0 and the curve still matches the oracle
+    lows = []
+    real = correlators._clip_rounding
+    monkeypatch.setattr(correlators, "_clip_rounding",
+                        lambda vals, n: lows.append(vals.min() / vals.max()) or real(vals, n))
+    fast = g2_w_temporal(CFG, GAUSS, GAUSS, QUAD_1024, grid)
+    direct = g2_w_temporal(CFG, GAUSS, GAUSS, QUAD_1024, grid, method="quad")
+    assert -1024 * np.finfo(float).eps < lows[0] < 0.0
+    assert fast.values.min() == 0.0
+    np.testing.assert_allclose(fast.values, direct.values, rtol=0, atol=1e-12)
+
+
+def test_clip_rounding_zeroes_only_the_rounding_floor():
+    n = 100
+    floor = _ROUNDING_FLOOR * n * np.finfo(float).eps * 2.0
+    vals = np.array([2.0, -floor, 0.5, -0.5 * floor, 0.0])
+    np.testing.assert_array_equal(_clip_rounding(vals, n), [2.0, 0.0, 0.5, 0.0, 0.0])
+    with pytest.raises(DegenerateInputError):
+        _clip_rounding(np.array([2.0, -1.01 * floor]), n)
+
+
+def test_g2_w_tail_only_grid_rejected():
+    # 300-400 ps sees only the rounding-level tail of a curve supported
+    # on [0, 20] ps: a named error, not a curve of normalized noise
+    with pytest.raises(DegenerateInputError):
+        g2_w_temporal(CFG, GAUSS, GAUSS, QUAD_1024, Grid1D(300.0, 0.5, 201))
 
 
 def test_grid_points_and_validation():

@@ -11,17 +11,19 @@ second pair photon, which shares photon 1's bin, so A is diagonal.
 Detection filters are folded into the amplitudes, so the discrete state
 and the continuous correlators describe the same post-filter physics.
 
-Frequency conservation also fixes the pair's sector: every pair vector
-heralded by a detection of the lost photon lies on one anti-diagonal
-a + b = s of the (photon-1 bin, partner bin) plane. The reduced pair
-state is therefore block diagonal in s, and its partial transpose in
-the difference a - b. Sectors s and s + n share no photon-1 bin, so
-folding s modulo n packs the state into n full blocks of n x n, and the
-partial transpose likewise into n blocks indexed by (a - b) mod n.
-``SectorDensity`` stores and evaluates the reduced states in that form,
-at O(n^4) cost instead of the O(n^6) eigensolve of the dense n^2 x n^2
-``DensityMatrix`` that ``reduce_lost_photon`` builds; the dense reducer
-stays as the reference implementation.
+Frequency conservation also fixes the pair's sector: the pair vector
+heralded by lost-photon bin k lies on one anti-diagonal a + b = s_k of
+the (photon-1 bin, partner bin) plane, with s_k = J0 - k, so the n
+heralded vectors sit in n distinct sectors, distinct even modulo n.
+Sectors s and s + n share no photon-1 bin, so basis state (a, b) can be
+filed under block t = (a + b) mod n and row a, and the reduced pair
+state is the direct sum of n rank-1 blocks x_t x_t^dagger.
+``SectorDensity`` stores it as the n x n matrix X of those vectors, n^2
+numbers instead of the n^4 of the dense n^2 x n^2 ``DensityMatrix`` that
+``reduce_lost_photon`` builds; its partial transpose is block diagonal
+in (a - b) mod n, so the negativity costs n eigensolves of n x n instead
+of one of n^2 x n^2. The dense reducer stays as the reference
+implementation.
 """
 
 from __future__ import annotations
@@ -31,16 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .correlators import _w_integrand
 from .errors import DegenerateInputError, InvalidArgumentError
-from .qubits import EIGENVALUE_FLOOR, HERMITICITY_TOL, TRACE_TOL, DensityMatrix
-from .spectra import (
-    FilterSpec,
-    PhaseMatchConfig,
-    detuning_ghz,
-    detuning_w,
-    filter_eval,
-    phi,
-)
+from .qubits import TRACE_TOL, DensityMatrix
+from .spectra import FilterSpec, PhaseMatchConfig, detuning_ghz, filter_eval, phi
 
 
 @dataclass(frozen=True)
@@ -132,20 +128,16 @@ def build_w_discrete(cfg: PhaseMatchConfig, filters: tuple[FilterSpec, FilterSpe
                      grid: ModeGrid) -> TriphotonTensor:
     """Three-mode state on the bin grid.
 
-    A[i, k] carries the filters of all three arms and the longitudinal
-    envelope; photon 2 sits in the bin nearest to -nu1 - nu3, and
-    combinations whose conservation frequency falls off the grid are
-    dropped before normalization.
+    A[i, k] is the correlators' joint spectral amplitude on the bin
+    centers (filters of all three arms and the longitudinal envelope);
+    photon 2 sits in the bin nearest to -nu1 - nu3, and combinations whose
+    conservation frequency falls off the grid are dropped before
+    normalization.
     """
     f1, f2, f3 = filters
     nu = grid.centers()
-    nu2 = -(nu[:, None] + nu[None, :])
-    partner, on = grid.nearest_bin(nu2)
-    amps = (filter_eval(f1, nu)[:, None]
-            * filter_eval(f3, nu)[None, :]
-            * filter_eval(f2, nu2)
-            * phi(detuning_w(nu[:, None], nu[None, :], cfg)))
-    amps = np.where(on, amps, 0.0)
+    partner, on = grid.nearest_bin(-(nu[:, None] + nu[None, :]))
+    amps = np.where(on, _w_integrand(cfg, f1, f2, f3, nu), 0.0)
     return TriphotonTensor(_normalize(amps), partner, grid)
 
 
@@ -200,48 +192,34 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.real(np.trace(rho.matrix @ rho.matrix)))
 
 
-def _eigvalsh_nonzero(blocks: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the blocks of a stack that are not all zero; an
-    all-zero block adds only zero eigenvalues."""
-    return np.linalg.eigvalsh(blocks[np.any(blocks != 0, axis=(1, 2))])
-
-
 @dataclass(frozen=True)
 class SectorDensity:
-    """Two-photon density matrix stored in cyclic conservation sectors.
+    """Two-photon density matrix stored as its n heralded pair vectors.
 
-    ``blocks[t, a, a']`` is <a, (t-a) mod n| rho |a', (t-a') mod n> on an
-    n-bin grid, shape (n, n, n): every entry is a matrix element between
-    two pair basis states, and every pair state (a, b) appears once, in
-    block t = (a + b) mod n. Conservation confines rho to the sectors
-    a + b = s; block t holds sector t on rows a <= t and sector t + n on
-    rows a > t, so the blocks are the whole state. Validated like
-    ``DensityMatrix``: Hermitian, unit trace, and no block eigenvalue
-    below the PSD floor.
+    ``vectors[a, t]`` is the amplitude on |a, (t-a) mod n> of the vector
+    x_t in block t, shape (n, n), and rho = sum_t |x_t><x_t|. Every pair
+    basis state (a, b) appears once, in block t = (a + b) mod n, so the
+    blocks are orthogonal: block t holds sector t on rows a <= t and
+    sector t + n on rows a > t, and conservation gives each lost-photon
+    bin's vector a block of its own. Hermitian and positive by
+    construction; validated for unit trace, sum |X|^2 = 1.
     """
 
-    blocks: np.ndarray
+    vectors: np.ndarray
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.blocks, dtype=complex)
-        n = len(r) if r.ndim == 3 else 0
-        if n < 1 or r.shape != (n, n, n):
-            raise InvalidArgumentError(f"sector blocks must have shape (n, n, n), got {r.shape}")
-        herm = float(np.max(np.abs(r - r.conj().transpose(0, 2, 1))))
-        if herm > HERMITICITY_TOL:
-            raise InvalidArgumentError(f"sector blocks are not Hermitian (max deviation {herm:.3e})")
-        tr = complex(np.trace(r, axis1=1, axis2=2).sum())
+        x = np.asarray(self.vectors, dtype=complex)
+        if x.ndim != 2 or x.shape[0] != x.shape[1] or len(x) < 2:
+            raise InvalidArgumentError(f"heralded vectors must have shape (n, n), n >= 2, got {x.shape}")
+        tr = float(np.sum(x.real**2 + x.imag**2))
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvalidArgumentError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        lo = float(_eigvalsh_nonzero(r).min())
-        if lo < EIGENVALUE_FLOOR:
-            raise InvalidArgumentError(f"a sector block has eigenvalue {lo:.3e} below the PSD floor")
-        object.__setattr__(self, "blocks", r)
+        object.__setattr__(self, "vectors", x)
 
     def purity(self) -> float:
-        """tr(rho^2), the squared Frobenius norm summed over the blocks."""
-        r = self.blocks
-        return float(np.sum(r.real**2 + r.imag**2))
+        """tr(rho^2) = sum_t |x_t|^4, the blocks being orthogonal rank-1."""
+        x = self.vectors
+        return float(np.sum(np.sum(x.real**2 + x.imag**2, axis=0) ** 2))
 
     def negativity(self) -> float:
         """Sum of |negative eigenvalues| of the partial transpose across
@@ -251,28 +229,27 @@ class SectorDensity:
         Transposing photon 1 maps <a, b|rho|a', b'> to <a', b|rho|a, b'>,
         which is zero unless a - b = a' - b'. The partial transpose is
         therefore block diagonal in u = (a - b) mod n, with
-        B_u[a, a'] = R[(a + a' - u) mod n, a', a]; one gather and one
-        batched eigensolve cover all n blocks.
+        B_u[a, a'] = X[a', t] conj(X[a, t]) and t = (a + a' - u) mod n;
+        one gather and one batched eigensolve cover all n blocks.
         """
-        n = self.blocks.shape[0]
-        a = np.arange(n)[None, :, None]
-        ap = np.arange(n)[None, None, :]
-        u = np.arange(n)[:, None, None]
-        eigs = _eigvalsh_nonzero(self.blocks[(a + ap - u) % n, ap, a])
+        x = self.vectors
+        a = np.arange(len(x))
+        t = (a[None, :, None] + a[None, None, :] - a[:, None, None]) % len(x)  # [u, a, a']
+        eigs = np.linalg.eigvalsh(x[a[None, None, :], t] * x[a[None, :, None], t].conj())
         return float(-eigs[eigs < 0.0].sum()) + 0.0
 
     def max_offdiagonal(self) -> float:
-        """Largest |rho_ij| with i != j; elements between blocks are 0."""
-        n = self.blocks.shape[0]
-        return float(np.abs(self.blocks[:, ~np.eye(n, dtype=bool)]).max(initial=0.0))
+        """Largest |rho_ij| with i != j: the product of the two largest
+        |X[a, t]| of one vector; elements between blocks are 0."""
+        top = np.sort(np.abs(self.vectors), axis=0)[-2:]
+        return float((top[0] * top[1]).max())
 
     def block_sizes(self) -> np.ndarray:
         """Number of pair basis states each sector s = a + b populates
-        (nonzero diagonal), for s = 0 .. 2n - 2; a PSD block is zero
-        outside those states."""
-        n = self.blocks.shape[0]
-        t, a = np.nonzero(np.diagonal(self.blocks, axis1=1, axis2=2).real > 0.0)
-        return np.bincount(a + (t - a) % n, minlength=2 * n - 1)
+        (nonzero amplitude), for s = 0 .. 2n - 2."""
+        x = self.vectors
+        a, t = np.nonzero(x.real**2 + x.imag**2 > 0.0)
+        return np.bincount(a + (t - a) % len(x), minlength=2 * len(x) - 1)
 
 
 def pair_sectors(state: TriphotonTensor) -> SectorDensity:
@@ -280,9 +257,10 @@ def pair_sectors(state: TriphotonTensor) -> SectorDensity:
 
     Lost-photon bin k heralds |chi_k> = sum_i A[i, k] |i>|j(i,k)>, and
     every live entry of column k lies in the sector s_k = i + j(i, k), so
-    the column adds the outer product of A[:, k] to block s_k mod n. A
-    column whose live entries span two sectors breaks conservation on the
-    grid and is rejected.
+    column k is the vector of block s_k mod n. Hand-built tensors that
+    break this are rejected: a column whose live entries span two
+    sectors, and two columns whose sectors fold into one block (the
+    builders' s_k = J0 - k never do).
     """
     n = state.grid.n_bins
     live = state.partner_bins >= 0
@@ -296,7 +274,17 @@ def pair_sectors(state: TriphotonTensor) -> SectorDensity:
             f"{sorted(set(sector[live[:, k], k].tolist()))}; "
             "the grid does not conserve frequency bin by bin")
     used = np.flatnonzero(s_k >= 0)
-    # x[t, :, k] is column k when its sector folds to t; off-grid entries are already 0
-    x = np.zeros((n, n, n), dtype=complex)
-    x[s_k[used] % n, :, used] = state.amplitudes[:, used].T
-    return SectorDensity(x @ x.conj().transpose(0, 2, 1))
+    block = s_k[used] % n
+    owner = np.full(n, -1)
+    owner[block] = used
+    folded = np.flatnonzero(owner[block] != used)
+    if folded.size:
+        k, t = int(used[folded[0]]), int(block[folded[0]])
+        raise InvalidArgumentError(
+            f"lost-photon bins {k} and {owner[t]} herald pair vectors in sectors "
+            f"{s_k[k]} and {s_k[owner[t]]}, which fold into the same block {t} mod {n}; "
+            "the partner bins do not follow J0 - (i + k)")
+    # off-grid entries are already 0
+    x = np.zeros((n, n), dtype=complex)
+    x[:, block] = state.amplitudes[:, used]
+    return SectorDensity(x)

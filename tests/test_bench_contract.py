@@ -69,3 +69,11 @@ def test_traced_command_passes_engine_check(kind, tmp_path):
     _run("correlate-fine", kind, tmp_path, tracer)
     assert tracer.fft_quad_maxrel < 1e-9
     assert sum(tracer.calls[f"correlators.{name}"] for name in tracing.CORRELATORS) == 1
+
+
+def test_traced_modes_command_builds_each_state_once(tmp_path):
+    tracer = tracing.Tracer()
+    _run("modes-large", "modes", tmp_path, tracer)
+    assert tracer.calls["modes.build_w_discrete"] == 1
+    assert tracer.calls["modes.build_ghz_discrete"] == 1
+    assert tracer.calls["qubits.DensityMatrix"] > 0

@@ -35,14 +35,12 @@ W_NEGATIVITY_8_BINS = 0.014341692172571054
 
 
 def _dense_from_sectors(red: SectorDensity) -> np.ndarray:
-    """The n^2 x n^2 matrix the cyclic sector blocks stand for."""
-    n = red.blocks.shape[0]
-    rho = np.zeros((n * n, n * n), dtype=complex)
-    a = np.arange(n)
-    for t in range(n):
-        flat = a * n + (t - a) % n
-        rho[np.ix_(flat, flat)] = red.blocks[t]
-    return rho
+    """The n^2 x n^2 matrix sum_t |x_t><x_t| the heralded vectors stand for."""
+    n = len(red.vectors)
+    a, t = np.indices((n, n))
+    v = np.zeros((n * n, n), dtype=complex)
+    v[a * n + (t - a) % n, t] = red.vectors
+    return v @ v.conj().T
 
 
 def _dense_figures(rho: DensityMatrix) -> list[float]:
@@ -52,7 +50,7 @@ def _dense_figures(rho: DensityMatrix) -> list[float]:
 
 def _assert_matches_dense(red: SectorDensity, rho: DensityMatrix) -> None:
     np.testing.assert_allclose(_dense_from_sectors(red), rho.matrix, rtol=0, atol=1e-15)
-    n = red.blocks.shape[0]
+    n = len(red.vectors)
     populated = np.diag(rho.matrix).real.reshape(n, n) > 0.0  # [a, b]
     sector = np.add.outer(np.arange(n), np.arange(n))
     np.testing.assert_array_equal(red.block_sizes(),
@@ -206,17 +204,30 @@ def test_purity_values():
     # uniform diagonal mixture over n bins has purity 1/n
     amps = np.diag(np.full(4, 0.5, dtype=complex))
     partner = np.where(np.eye(4, dtype=bool), [[3], [2], [1], [0]], -1)
-    state = TriphotonTensor(amps, partner, grid)
-    rho = reduce_lost_photon(state)
+    rho = reduce_lost_photon(TriphotonTensor(amps, partner, grid))
     assert purity(rho) == pytest.approx(0.25, abs=1e-12)
-    # all four pairs share sector i + partner = 3
-    sectors = pair_sectors(state)
-    _assert_matches_dense(sectors, rho)
-    assert sectors.purity() == pytest.approx(0.25, abs=1e-12)
-    assert sectors.block_sizes().tolist() == [0, 0, 0, 4, 0, 0, 0]
     d = 6
     maximally_mixed = DensityMatrix(np.eye(d, dtype=complex) / d, (2, 3))
     assert purity(maximally_mixed) == pytest.approx(1.0 / d, abs=1e-12)
+
+
+def test_sector_two_columns_in_one_block_rejected():
+    # all four columns of the mixture above herald into sector 3, and
+    # sectors 1 and 1 + n fold into one block; the dense path accepts both
+    grid = ModeGrid(4, -1.0, 1.0)
+    amps = np.diag(np.full(4, 0.5, dtype=complex))
+    partner = np.where(np.eye(4, dtype=bool), [[3], [2], [1], [0]], -1)
+    shared = TriphotonTensor(amps, partner, grid)
+    grid3 = ModeGrid(3, -1.0, 1.0)
+    amps3 = np.zeros((3, 3), dtype=complex)
+    amps3[0, 0] = amps3[2, 1] = np.sqrt(0.5)
+    partner3 = np.full((3, 3), -1)
+    partner3[0, 0], partner3[2, 1] = 1, 2   # sectors 1 and 4 = 1 + 3
+    wrapped = TriphotonTensor(amps3, partner3, grid3)
+    for state in (shared, wrapped):
+        reduce_lost_photon(state)
+        with pytest.raises(InvalidArgumentError, match="fold into the same block"):
+            pair_sectors(state)
 
 
 def test_separability_signatures_across_grid_sizes():
@@ -295,31 +306,32 @@ def test_sector_w_column_spanning_two_sectors_rejected():
 
 
 def test_sector_density_validation():
-    blocks = np.zeros((2, 2, 2), dtype=complex)
-    blocks[1] = [[0.5, 0.5], [0.5, 0.5]]  # (|0,1> + |1,0>)/sqrt(2)
-    assert SectorDensity(blocks).purity() == pytest.approx(1.0, abs=1e-15)
-    non_hermitian = blocks.copy()
-    non_hermitian[1, 0, 1] = 0.5j
-    negative = blocks.copy()
-    negative[1] = [[0.5, 0.7], [0.7, 0.5]]
-    for bad in (non_hermitian, negative, blocks * 2.0, blocks[:1], blocks[:, :, :1],
-                np.zeros((3, 2, 2)), blocks[0]):
+    x = np.zeros((2, 2), dtype=complex)
+    x[:, 1] = np.sqrt(0.5)  # (|0,1> + |1,0>)/sqrt(2)
+    assert SectorDensity(x).purity() == pytest.approx(1.0, abs=1e-15)
+    for bad in (x * 2.0, x[:1], x[:, :1], np.zeros((2, 2, 2)), x[0], np.ones((1, 1))):
         with pytest.raises(InvalidArgumentError):
             SectorDensity(bad)
 
 
-def test_sector_density_cyclic_blocks_match_dense():
-    # blocks that also couple sector t to sector t + n (which conservation
-    # never populates) are still exact: every entry is a matrix element of
-    # a state block diagonal in (a + b) mod n
+def test_sector_path_matches_dense_on_random_tensors():
+    # random tensors that obey conservation, partner = J0 - (i + k), with a
+    # random offset J0, random phases and a random set of dropped entries
     rng = np.random.default_rng(7)
-    for n in (2, 3, 5, 8):
-        x = rng.normal(size=(n, n, n)) + 1j * rng.normal(size=(n, n, n))
-        blocks = x @ x.conj().transpose(0, 2, 1)
-        red = SectorDensity(blocks / np.trace(blocks, axis1=1, axis2=2).sum())
-        rho = DensityMatrix(_dense_from_sectors(red), (n, n))
-        assert red.negativity() > 1e-3
-        _assert_matches_dense(red, rho)
+    entangled = 0
+    for n in range(2, 17):
+        grid = ModeGrid(n, -1.0, 1.0)
+        i_plus_k = np.add.outer(np.arange(n), np.arange(n))
+        live = np.zeros((n, n), dtype=bool)
+        while not live.any():
+            partner = rng.integers(0, 3 * n - 2) - i_plus_k
+            live = (partner >= 0) & (partner < n) & (rng.random((n, n)) < 0.8)
+        amps = rng.rayleigh(size=(n, n)) * np.exp(2j * np.pi * rng.random((n, n))) * live
+        state = TriphotonTensor(amps / np.linalg.norm(amps), np.where(live, partner, -1), grid)
+        red = pair_sectors(state)
+        _assert_matches_dense(red, reduce_lost_photon(state))
+        entangled += red.negativity() > 1e-3
+    assert entangled >= 10
 
 
 def test_sector_negativity_continuum_limit():

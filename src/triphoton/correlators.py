@@ -475,18 +475,16 @@ def g2_w_spatial(window: TransverseWindow, grid: Grid1D, *, n_points: int = 1024
                  method: Method = "fft") -> CorrelationSurface:
     """Two-photon transverse correlation of the three-mode state.
 
-    The undetected photon contributes an incoherent constant, the
-    detected pair a windowed Fourier kernel; the width is set entirely by
-    the transverse-mode bandwidth. The grid is the displacement between
-    detectors 1 and 2 along one transverse axis.
+    The undetected photon contributes an incoherent constant, which the
+    peak normalization divides out, and the detected pair a windowed
+    Fourier kernel; the width is set entirely by the transverse-mode
+    bandwidth. The grid is the displacement between detectors 1 and 2
+    along one transverse axis.
     """
     _check_method(method)
     alpha, w = _alpha_nodes_weights(window, n_points)
-    W = window_eval(window, alpha)
-    const3 = float(np.sum(w * W**2))
-    inner = _transform(w * W, alpha, grid.points(), method)
-    vals = const3 * (inner.real**2 + inner.imag**2)
-    return normalize_to_peak(CorrelationSurface((grid,), vals))
+    inner = _transform(w * window_eval(window, alpha), alpha, grid.points(), method)
+    return normalize_to_peak(CorrelationSurface((grid,), inner.real**2 + inner.imag**2))
 
 
 def g3_w_spatial(window: TransverseWindow, grids: tuple[Grid1D, Grid1D], *, n_points: int = 1024,
@@ -549,7 +547,8 @@ def fwhm(surface: CorrelationSurface) -> float:
     Crossings of the 0.5 level are located by linear interpolation. The
     curve must exceed the level on a single connected interior run;
     anything else (no crossing, a half-max region touching the grid edge,
-    several runs) raises AmbiguousWidthError listing every crossing found.
+    several runs) raises AmbiguousWidthError carrying every crossing found;
+    its message gives the count and at most the first and last three.
     """
     if len(surface.axes) != 1:
         raise InvalidArgumentError("fwhm is defined for 1-D surfaces only")
@@ -564,9 +563,12 @@ def fwhm(surface: CorrelationSurface) -> float:
             t = (0.5 - v[i]) / (v[i + 1] - v[i])
             crossings.append(float(x[i] + t * (x[i + 1] - x[i])))
     if len(crossings) != 2 or above[0] or above[-1]:
+        shown = [repr(c) for c in crossings]
+        if len(shown) > 6:
+            shown[3:-3] = ["..."]
         raise AmbiguousWidthError(
             f"no unique half-maximum pair: found {len(crossings)} crossing(s)"
-            + (f" at {crossings}" if crossings else ""),
+            + (f" at [{', '.join(shown)}]" if crossings else ""),
             crossings,
         )
     return crossings[1] - crossings[0]

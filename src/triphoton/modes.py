@@ -3,27 +3,28 @@
 A coarse frequency grid turns each state into a small amplitude tensor,
 which makes the loss of one photon an exact partial trace on a finite
 Hilbert space. Both states share one form: an amplitude A[i, k] over the
-bins of detected photon 1 (rows) and of the lost photon (columns), with
-frequency conservation fixing the bin of the remaining partner photon.
-For the three-mode state the lost photon is photon 3 and A is a joint
-spectral amplitude. For the degenerate-pair state the lost photon is the
-second pair photon, which shares photon 1's bin, so A is diagonal.
-Detection filters are folded into the amplitudes, so the discrete state
-and the continuous correlators describe the same post-filter physics.
+bins of detected photon 1 (rows) and of the lost photon (columns). The
+grid, not the tensor, places the remaining partner photon: frequency
+conservation puts it in bin J0 - (i + k), one offset J0 per grid
+(``ModeGrid.partner_bins``). For the three-mode state the lost photon is
+photon 3 and A is a joint spectral amplitude. For the degenerate-pair
+state the lost photon is the second pair photon, which shares photon 1's
+bin, so A is diagonal. Detection filters are folded into the amplitudes,
+so the discrete state and the continuous correlators describe the same
+post-filter physics.
 
-Frequency conservation also fixes the pair's sector: the pair vector
-heralded by lost-photon bin k lies on one anti-diagonal a + b = s_k of
-the (photon-1 bin, partner bin) plane, with s_k = J0 - k, so the n
+The pair vector heralded by lost-photon bin k lies on one anti-diagonal
+a + b = J0 - k of the (photon-1 bin, partner bin) plane, so the n
 heralded vectors sit in n distinct sectors, distinct even modulo n.
 Sectors s and s + n share no photon-1 bin, so basis state (a, b) can be
 filed under block t = (a + b) mod n and row a, and the reduced pair
 state is the direct sum of n rank-1 blocks x_t x_t^dagger.
-``SectorDensity`` stores it as the n x n matrix X of those vectors, n^2
-numbers instead of the n^4 of the dense n^2 x n^2 ``DensityMatrix`` that
-``reduce_lost_photon`` builds; its partial transpose is block diagonal
-in (a - b) mod n, so the negativity costs n eigensolves of n x n instead
-of one of n^2 x n^2. The dense reducer stays as the reference
-implementation.
+``SectorDensity`` stores it as the n x n matrix X of those vectors, a
+column permutation of A: n^2 numbers instead of the n^4 of the dense
+n^2 x n^2 ``DensityMatrix`` that ``reduce_lost_photon`` builds. Its
+partial transpose is block diagonal in (a - b) mod n, so the negativity
+costs n eigensolves of n x n instead of one of n^2 x n^2. The dense
+reducer stays as the reference implementation.
 """
 
 from __future__ import annotations
@@ -65,24 +66,27 @@ class ModeGrid:
     def bin_width(self) -> float:
         return (self.nu_max - self.nu_min) / (self.n_bins - 1)
 
-    def nearest_bin(self, nu) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest bin index and an on-grid mask.
+    @property
+    def partner_offset(self) -> int:
+        """J0 of the conservation rule: photons in bins i and k leave
+        their partner in bin J0 - (i + k).
 
-        Half-bin ties round toward the higher bin at both edges and in
-        between, with a relative guard so the choice does not flip on
+        The partner frequency -(nu_i + nu_k) goes to its nearest bin, and
+        half-bin ties round toward the higher bin at both edges and in
+        between, with a guard of 1e-9 bin so the choice does not flip on
         last-ulp noise in the division (on symmetric grids with an even
-        bin count, every conservation frequency is such a tie). A
-        frequency whose rounded index falls outside [0, n_bins) is
-        off-grid: exactly half a bin below nu_min rounds to bin 0, exactly
-        half a bin above nu_max rounds off the grid. The index is thus
-        linear in the frequency on the whole grid, so conservation bins
-        satisfy partner = J0 - (i + k) for one offset J0.
+        bin count, every conservation frequency is such a tie). Exactly
+        half a bin below nu_min thus rounds to bin 0 and exactly half a
+        bin above nu_max rounds off the grid. The rounding is then the
+        same for every bin pair, so the index is linear in i + k.
         """
-        arr = np.asarray(nu, dtype=float)
-        x = (arr - self.nu_min) / self.bin_width
-        idx = np.floor(x + 0.5 + 1e-9)
-        on = (idx >= 0) & (idx < self.n_bins)
-        return np.where(on, idx, -1).astype(int), on
+        return math.floor(-3.0 * self.nu_min / self.bin_width + 0.5 + 1e-9)
+
+    def partner_bins(self) -> np.ndarray:
+        """(n, n) partner bins J0 - (i + k), and -1 where that falls off
+        the grid."""
+        j = self.partner_offset - np.add.outer(np.arange(self.n_bins), np.arange(self.n_bins))
+        return np.where((j >= 0) & (j < self.n_bins), j, -1)
 
 
 @dataclass(frozen=True)
@@ -90,31 +94,25 @@ class TriphotonTensor:
     """Discretized joint spectral amplitude of one triphoton state.
 
     ``amplitudes`` is A[i, k] over the bins of detected photon 1 (rows)
-    and of the lost photon (columns); ``partner_bins`` holds the
-    conservation bin of the remaining partner photon. Off-grid
-    combinations carry amplitude 0 and partner bin -1. The amplitudes
-    are normalized to unit norm.
+    and of the lost photon (columns), normalized to unit norm. The
+    remaining partner photon sits in ``grid.partner_bins()[i, k]``;
+    combinations whose partner falls off the grid carry amplitude 0.
     """
 
     amplitudes: np.ndarray
-    partner_bins: np.ndarray
     grid: ModeGrid
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=complex)
-        bins = np.asarray(self.partner_bins, dtype=int)
         n = self.grid.n_bins
-        if amps.shape != (n, n) or bins.shape != (n, n):
+        if amps.shape != (n, n):
             raise InvalidArgumentError(f"amplitude shape {amps.shape} does not match grid {(n, n)}")
-        if np.any((bins < -1) | (bins >= n)):
-            raise InvalidArgumentError("partner bins must lie on the grid or be -1")
-        if np.any((bins < 0) & (amps != 0)):
+        if np.any((self.grid.partner_bins() < 0) & (amps != 0)):
             raise InvalidArgumentError("off-grid entries must carry zero amplitude")
         norm2 = float(np.sum(amps.real**2 + amps.imag**2))
         if abs(norm2 - 1.0) > 1e-12:
             raise InvalidArgumentError(f"norm^2 deviates from 1 by {abs(norm2 - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "partner_bins", bins)
 
 
 def _normalize(amps: np.ndarray) -> np.ndarray:
@@ -130,15 +128,12 @@ def build_w_discrete(cfg: PhaseMatchConfig, filters: tuple[FilterSpec, FilterSpe
 
     A[i, k] is the correlators' joint spectral amplitude on the bin
     centers (filters of all three arms and the longitudinal envelope);
-    photon 2 sits in the bin nearest to -nu1 - nu3, and combinations whose
-    conservation frequency falls off the grid are dropped before
-    normalization.
+    photon 2 sits in the grid's partner bin, and combinations whose
+    partner falls off the grid are dropped before normalization.
     """
     f1, f2, f3 = filters
-    nu = grid.centers()
-    partner, on = grid.nearest_bin(-(nu[:, None] + nu[None, :]))
-    amps = np.where(on, _w_integrand(cfg, f1, f2, f3, nu), 0.0)
-    return TriphotonTensor(_normalize(amps), partner, grid)
+    amps = np.where(grid.partner_bins() >= 0, _w_integrand(cfg, f1, f2, f3, grid.centers()), 0.0)
+    return TriphotonTensor(_normalize(amps), grid)
 
 
 def build_ghz_discrete(cfg: PhaseMatchConfig, filters: tuple[FilterSpec, FilterSpec],
@@ -147,19 +142,16 @@ def build_ghz_discrete(cfg: PhaseMatchConfig, filters: tuple[FilterSpec, FilterS
 
     Both pair photons occupy bin i (the state is single-mode degenerate
     by construction), so A[i, k] = B[i] delta_ik: the pair filter enters
-    B squared, and the lone photon sits in the bin nearest to -2 nu1,
-    the partner bin on the diagonal (-1 off it).
+    B squared, and the lone photon at -2 nu1 sits in the diagonal
+    partner bin J0 - 2i.
     """
     f1, f2 = filters
     nu = grid.centers()
-    nu2 = -2.0 * nu
-    partner, on = grid.nearest_bin(nu2)
     amps = (filter_eval(f1, nu) ** 2
-            * filter_eval(f2, nu2)
+            * filter_eval(f2, -2.0 * nu)
             * phi(detuning_ghz(nu, cfg)))
-    amps = _normalize(np.where(on, amps, 0.0))
-    pair = np.eye(grid.n_bins, dtype=bool)
-    return TriphotonTensor(np.diag(amps), np.where(pair, partner[:, None], -1), grid)
+    on = np.diag(grid.partner_bins()) >= 0
+    return TriphotonTensor(np.diag(_normalize(np.where(on, amps, 0.0))), grid)
 
 
 def reduce_lost_photon(state: TriphotonTensor) -> DensityMatrix:
@@ -173,10 +165,11 @@ def reduce_lost_photon(state: TriphotonTensor) -> DensityMatrix:
     column, so its reduction is a diagonal, separable mixture.
     """
     n = state.grid.n_bins
+    partner = state.grid.partner_bins()
     rho = np.zeros((n * n, n * n), dtype=complex)
     for k in range(n):
         col = state.amplitudes[:, k]
-        bins = state.partner_bins[:, k]
+        bins = partner[:, k]
         live = bins >= 0
         if not np.any(live):
             continue
@@ -255,36 +248,12 @@ class SectorDensity:
 def pair_sectors(state: TriphotonTensor) -> SectorDensity:
     """``reduce_lost_photon`` in sector form.
 
-    Lost-photon bin k heralds |chi_k> = sum_i A[i, k] |i>|j(i,k)>, and
-    every live entry of column k lies in the sector s_k = i + j(i, k), so
-    column k is the vector of block s_k mod n. Hand-built tensors that
-    break this are rejected: a column whose live entries span two
-    sectors, and two columns whose sectors fold into one block (the
-    builders' s_k = J0 - k never do).
+    Lost-photon bin k heralds |chi_k> = sum_i A[i, k] |i>|J0 - (i + k)>,
+    which lies in sector s_k = J0 - k, so column k is the vector of block
+    s_k mod n: X[:, (J0 - k) mod n] = A[:, k], a column permutation.
+    Off-grid entries of A are already 0.
     """
     n = state.grid.n_bins
-    live = state.partner_bins >= 0
-    sector = np.where(live, np.arange(n)[:, None] + state.partner_bins, -1)
-    s_k = sector.max(axis=0)
-    split = np.flatnonzero(np.any(live & (sector != s_k), axis=0))
-    if split.size:
-        k = int(split[0])
-        raise InvalidArgumentError(
-            f"lost-photon bin {k} heralds a pair vector spanning sectors "
-            f"{sorted(set(sector[live[:, k], k].tolist()))}; "
-            "the grid does not conserve frequency bin by bin")
-    used = np.flatnonzero(s_k >= 0)
-    block = s_k[used] % n
-    owner = np.full(n, -1)
-    owner[block] = used
-    folded = np.flatnonzero(owner[block] != used)
-    if folded.size:
-        k, t = int(used[folded[0]]), int(block[folded[0]])
-        raise InvalidArgumentError(
-            f"lost-photon bins {k} and {owner[t]} herald pair vectors in sectors "
-            f"{s_k[k]} and {s_k[owner[t]]}, which fold into the same block {t} mod {n}; "
-            "the partner bins do not follow J0 - (i + k)")
-    # off-grid entries are already 0
-    x = np.zeros((n, n), dtype=complex)
-    x[:, block] = state.amplitudes[:, used]
-    return SectorDensity(x)
+    # np.take keeps X row-major; A[:, perm] is column-major, which reorders
+    # the column sums in purity() and moves its last digit
+    return SectorDensity(np.take(state.amplitudes, (state.grid.partner_offset - np.arange(n)) % n, axis=1))

@@ -5,7 +5,10 @@ against ``perfbench/reference.json``; its traced run wraps public names
 and re-evaluates each correlator call with ``method="quad"``. These tests
 run one pool entry of every command kind both ways, so a change that
 breaks an import, a name, an output or the engine agreement the
-benchmark relies on fails here. Nothing under ``perfbench/`` is edited.
+benchmark relies on fails here. The ``modes`` command also runs on the
+first pool entry of each bin count, because each count gives the
+conservation rule a different partner offset. Nothing under
+``perfbench/`` is edited.
 """
 
 import importlib.util
@@ -31,11 +34,15 @@ REFERENCE = wl.load_reference()
 # one pool entry of every command kind the reference records
 CASES = [(workload, kind) for workload, pool in REFERENCE["workloads"].items()
          for kind in pool[0]["expected"]]
+# first modes-large pool entry of every bin count
+MODES_ENTRIES = {}
+for i, entry in enumerate(REFERENCE["workloads"]["modes-large"]):
+    MODES_ENTRIES.setdefault(entry["config"]["mode_grid"]["n_bins"], i)
 
 
-def _run(workload, kind, tmp_path, tracer=None):
+def _run(workload, kind, tmp_path, tracer=None, entry=0):
     pool = REFERENCE["workloads"][workload]
-    cfg = wl.write_config(pool, 0, tmp_path / "cfg")
+    cfg = wl.write_config(pool, entry, tmp_path / "cfg")
     out = tmp_path / "out"
     wl.clear(out)
     argv = wl.argv_for(kind, str(cfg), str(out))
@@ -48,7 +55,7 @@ def _run(workload, kind, tmp_path, tracer=None):
         finally:
             tracer.uninstall()
     assert code == 0
-    problems, nbytes = wl.check(kind, out, pool[0]["expected"][kind])
+    problems, nbytes = wl.check(kind, out, pool[entry]["expected"][kind])
     assert problems == []
     return nbytes
 
@@ -61,6 +68,11 @@ def test_reference_covers_every_command_kind():
 @pytest.mark.parametrize("workload, kind", CASES)
 def test_command_matches_reference(workload, kind, tmp_path):
     _run(workload, kind, tmp_path)
+
+
+@pytest.mark.parametrize("n_bins", wl.MODES_BINS)
+def test_modes_matches_reference_at_every_bin_count(n_bins, tmp_path):
+    _run("modes-large", "modes", tmp_path, entry=MODES_ENTRIES[n_bins])
 
 
 @pytest.mark.parametrize("kind", wl.CORRELATE_KINDS)

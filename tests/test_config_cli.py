@@ -436,6 +436,19 @@ def test_numerical_error_exit_code(tmp_path):
     assert rc == 3
 
 
+def test_aliased_width_error_message_is_bounded(tmp_path, capsys):
+    # two quadrature points alias the default delay grid's curve into a
+    # comb with 153 half-maximum crossings; the message names the count
+    # and at most six of them
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"quadrature": {"n_points": 2}}), encoding="utf-8")
+    rc = main(["figure1", "--config", str(path), "--out", str(tmp_path / "x")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "found 153 crossing(s) at [" in err and ", ..., " in err
+    assert len(err) < 300
+
+
 def test_csv_uses_full_precision(tmp_path, fast_config):
     out = tmp_path / "p"
     assert main(["correlate", "--config", str(fast_config), "--out", str(out),

@@ -68,25 +68,49 @@ def test_mode_grid_basics():
             ModeGrid(*bad)
 
 
+def _nearest_bin(grid: ModeGrid, nu: np.ndarray) -> np.ndarray:
+    """Per-entry rounding of a frequency to its bin, -1 off the grid:
+    half-bin ties go to the higher bin, with a 1e-9 bin guard."""
+    idx = np.floor((nu - grid.nu_min) / grid.bin_width + 0.5 + 1e-9).astype(int)
+    return np.where((idx >= 0) & (idx < grid.n_bins), idx, -1)
+
+
+def test_partner_bins_match_per_entry_rounding():
+    # the grid's one offset J0 must give every W partner -(nu_i + nu_k)
+    # and every GHZ lone photon -2 nu_i the bin that rounding each
+    # frequency on its own gives; on even symmetric grids every entry is
+    # a half-bin tie
+    rng = np.random.default_rng(13)
+    grids = [ModeGrid(n, *span) for span in ((-1.2, 1.2), (-0.4, 0.4), (-1.0, 1.0), (-1.3, 0.9))
+             for n in range(2, 130)]
+    for _ in range(200):
+        lo, hi = np.sort(rng.uniform(-3.0, 3.0, size=2))
+        grids.append(ModeGrid(int(rng.integers(2, 130)), lo, hi))
+    for grid in grids:
+        nu = grid.centers()
+        partner = grid.partner_bins()
+        np.testing.assert_array_equal(partner, _nearest_bin(grid, -(nu[:, None] + nu[None, :])))
+        np.testing.assert_array_equal(np.diag(partner), _nearest_bin(grid, -2.0 * nu))
+
+
 def test_nearest_bin_edges():
-    g = ModeGrid(3, -1.0, 1.0)  # centers -1, 0, 1, width 1
-    idx, on = g.nearest_bin(np.array([-1.5, -1.49, 0.2, 1.5, 1.51, -2.0, 0.5, 1.49]))
-    # half-bin ties round up at both edges: exactly half a bin below the
-    # grid lands on bin 0, exactly half a bin above it falls off, and the
-    # interior tie 0.5 goes to bin 2
-    np.testing.assert_array_equal(on, [True, True, True, False, False, False, True, True])
-    np.testing.assert_array_equal(idx, [0, 0, 1, -1, -1, -1, 2, 2])
+    # centers -1 and 1, width 2: the partner of bins (0, 0) is exactly half
+    # a bin above the grid and falls off; that of bins (1, 1) is exactly
+    # half a bin below it and lands on bin 0
+    grid = ModeGrid(2, -1.0, 1.0)
+    assert grid.partner_offset == 2
+    np.testing.assert_array_equal(grid.partner_bins(), [[-1, 1], [1, 0]])
 
 
 def test_nearest_bin_even_grid_conservation_is_linear():
     # every conservation frequency on an even symmetric grid is a tie;
     # each of the 8 sector offsets must map to its own partner bin
     grid = ModeGrid(8, -1.2, 1.2)
-    nu = grid.centers()
-    idx, on = grid.nearest_bin(-(nu[:, None] + nu[None, :]))
+    partner = grid.partner_bins()
+    on = partner >= 0
     i_plus_k = np.add.outer(np.arange(8), np.arange(8))
     np.testing.assert_array_equal(on, (i_plus_k >= 4) & (i_plus_k <= 11))
-    np.testing.assert_array_equal(idx[on], 11 - i_plus_k[on])
+    np.testing.assert_array_equal(partner[on], 11 - i_plus_k[on])
 
 
 def test_build_w_uniform_amplitudes():
@@ -105,7 +129,7 @@ def test_build_w_uniform_amplitudes():
 def test_build_w_off_grid_zeroed():
     grid = ModeGrid(4, -1.0, 1.0)
     state = build_w_discrete(CFG, (GAUSS, GAUSS, GAUSS), grid)
-    off = state.partner_bins < 0
+    off = grid.partner_bins() < 0
     assert np.all(state.amplitudes[off] == 0.0)
     assert off.any()
 
@@ -122,7 +146,7 @@ def test_build_ghz_single_center_bin():
     state = build_ghz_discrete(TINY_T, (FLAT, FLAT), grid)
     # -2 nu stays on the grid only for the center bin
     np.testing.assert_allclose(np.abs(state.amplitudes), np.diag([0.0, 1.0, 0.0]), atol=1e-12)
-    np.testing.assert_array_equal(state.partner_bins, [[-1, -1, -1], [-1, 1, -1], [-1, -1, -1]])
+    np.testing.assert_array_equal(np.diag(grid.partner_bins()), [-1, 1, -1])
 
 
 def test_build_ghz_mirror_symmetry():
@@ -138,16 +162,15 @@ def test_build_ghz_mirror_symmetry():
 def test_reduce_w_single_slice_pure():
     grid = ModeGrid(2, -1.0, 1.0)
     amps = np.zeros((2, 2), dtype=complex)
-    amps[0, 0] = np.sqrt(0.4)
-    amps[1, 0] = np.sqrt(0.6)
-    partner = np.array([[1, -1], [0, -1]])
-    state = TriphotonTensor(amps, partner, grid)
+    amps[0, 1] = np.sqrt(0.4)  # partner bin 1
+    amps[1, 1] = np.sqrt(0.6)  # partner bin 0
+    state = TriphotonTensor(amps, grid)
     rho = reduce_lost_photon(state)
     assert purity(rho) == pytest.approx(1.0, abs=1e-12)
     # the slice is itself a two-mode pure state; negativities must match
     chi = np.zeros(4, dtype=complex)
-    chi[0 * 2 + 1] = amps[0, 0]
-    chi[1 * 2 + 0] = amps[1, 0]
+    chi[0 * 2 + 1] = amps[0, 1]
+    chi[1 * 2 + 0] = amps[1, 1]
     expected = negativity(PureState(chi, (2, 2)).density(), (0,))
     assert negativity(rho, (0,)) == pytest.approx(expected, abs=1e-12)
     sectors = pair_sectors(state)
@@ -174,8 +197,7 @@ def test_reduce_w_regression_value():
 def test_reduce_w_global_phase_invariance():
     grid = ModeGrid(5, -1.0, 1.0)
     state = build_w_discrete(CFG, (GAUSS, GAUSS, GAUSS), grid)
-    rotated = TriphotonTensor(state.amplitudes * np.exp(0.7j),
-                              state.partner_bins, grid)
+    rotated = TriphotonTensor(state.amplitudes * np.exp(0.7j), grid)
     a = reduce_lost_photon(state).matrix
     b = reduce_lost_photon(rotated).matrix
     np.testing.assert_allclose(a, b, atol=1e-12)
@@ -200,34 +222,17 @@ def test_reduce_ghz_single_bin_pure_product():
 
 
 def test_purity_values():
-    grid = ModeGrid(4, -1.0, 1.0)
-    # uniform diagonal mixture over n bins has purity 1/n
-    amps = np.diag(np.full(4, 0.5, dtype=complex))
-    partner = np.where(np.eye(4, dtype=bool), [[3], [2], [1], [0]], -1)
-    rho = reduce_lost_photon(TriphotonTensor(amps, partner, grid))
+    grid = ModeGrid(4, -1.0, 1.0)  # partner 5 - (i + k)
+    # lost-photon bin k heralds the product |3 - k, 2> with weight 1/4:
+    # a uniform diagonal mixture over 4 pair states has purity 1/4
+    amps = np.fliplr(np.diag(np.full(4, 0.5, dtype=complex)))
+    state = TriphotonTensor(amps, grid)
+    rho = reduce_lost_photon(state)
     assert purity(rho) == pytest.approx(0.25, abs=1e-12)
+    assert pair_sectors(state).purity() == pytest.approx(0.25, abs=1e-12)
     d = 6
     maximally_mixed = DensityMatrix(np.eye(d, dtype=complex) / d, (2, 3))
     assert purity(maximally_mixed) == pytest.approx(1.0 / d, abs=1e-12)
-
-
-def test_sector_two_columns_in_one_block_rejected():
-    # all four columns of the mixture above herald into sector 3, and
-    # sectors 1 and 1 + n fold into one block; the dense path accepts both
-    grid = ModeGrid(4, -1.0, 1.0)
-    amps = np.diag(np.full(4, 0.5, dtype=complex))
-    partner = np.where(np.eye(4, dtype=bool), [[3], [2], [1], [0]], -1)
-    shared = TriphotonTensor(amps, partner, grid)
-    grid3 = ModeGrid(3, -1.0, 1.0)
-    amps3 = np.zeros((3, 3), dtype=complex)
-    amps3[0, 0] = amps3[2, 1] = np.sqrt(0.5)
-    partner3 = np.full((3, 3), -1)
-    partner3[0, 0], partner3[2, 1] = 1, 2   # sectors 1 and 4 = 1 + 3
-    wrapped = TriphotonTensor(amps3, partner3, grid3)
-    for state in (shared, wrapped):
-        reduce_lost_photon(state)
-        with pytest.raises(InvalidArgumentError, match="fold into the same block"):
-            pair_sectors(state)
 
 
 def test_separability_signatures_across_grid_sizes():
@@ -262,17 +267,11 @@ def test_negativity_convergence_smoke():
 def test_tensor_validation():
     grid = ModeGrid(2, -1.0, 1.0)
     with pytest.raises(InvalidArgumentError):
-        TriphotonTensor(np.zeros((3, 3), dtype=complex),
-                        np.zeros((3, 3), dtype=int), grid)
-    amps = np.zeros((2, 2), dtype=complex)
-    amps[0, 0] = 1.0
-    bad_partner = np.full((2, 2), 5)
-    with pytest.raises(InvalidArgumentError):
-        TriphotonTensor(amps, bad_partner, grid)
+        TriphotonTensor(np.zeros((3, 3), dtype=complex), grid)
+    # the partner of bins (0, 0) falls off this grid
     off_grid_amp = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    partner = np.array([[-1, 0], [0, 0]])
-    with pytest.raises(InvalidArgumentError):
-        TriphotonTensor(off_grid_amp, partner, grid)
+    with pytest.raises(InvalidArgumentError, match="off-grid"):
+        TriphotonTensor(off_grid_amp, grid)
 
 
 @pytest.mark.parametrize("span", [(-1.2, 1.2), (-0.4, 0.4), (-1.0, 1.0), (-1.3, 0.9)])
@@ -286,23 +285,11 @@ def test_sector_path_matches_dense_oracle(span):
         _assert_matches_dense(pair_sectors(ghz_state), ghz_red)
         # losing one pair photon leaves sum_i |B_i|^2 |i, p_i><i, p_i|
         b = np.diag(ghz_state.amplitudes)
-        p = np.diag(ghz_state.partner_bins)
+        p = np.diag(grid.partner_bins())
         on = p >= 0
         expected = np.zeros(n * n)
         expected[np.flatnonzero(on) * n + p[on]] = np.abs(b[on]) ** 2
         np.testing.assert_allclose(ghz_red.matrix, np.diag(expected), rtol=0, atol=1e-15)
-
-
-def test_sector_w_column_spanning_two_sectors_rejected():
-    grid = ModeGrid(3, -1.0, 1.0)
-    amps = np.zeros((3, 3), dtype=complex)
-    amps[0, 0] = amps[1, 0] = np.sqrt(0.5)
-    # i + partner is 1 for the first entry and 2 for the second
-    partner = np.array([[1, -1, -1], [1, -1, -1], [-1, -1, -1]])
-    state = TriphotonTensor(amps, partner, grid)
-    reduce_lost_photon(state)  # the dense path has no sector structure to break
-    with pytest.raises(InvalidArgumentError, match="sectors"):
-        pair_sectors(state)
 
 
 def test_sector_density_validation():
@@ -315,19 +302,21 @@ def test_sector_density_validation():
 
 
 def test_sector_path_matches_dense_on_random_tensors():
-    # random tensors that obey conservation, partner = J0 - (i + k), with a
-    # random offset J0, random phases and a random set of dropped entries
+    # random tensors on grids whose random nu_min sets a random offset J0
+    # in [0, 3n - 3], every offset that leaves a partner on the grid, with
+    # random phases and a random set of dropped entries
     rng = np.random.default_rng(7)
     entangled = 0
     for n in range(2, 17):
-        grid = ModeGrid(n, -1.0, 1.0)
-        i_plus_k = np.add.outer(np.arange(n), np.arange(n))
+        h = 2.0 / (n - 1)
+        nu_min = -h * rng.uniform(-1 / 6, n - 5 / 6)
+        grid = ModeGrid(n, nu_min, nu_min + 2.0)
+        assert 0 <= grid.partner_offset <= 3 * n - 3
         live = np.zeros((n, n), dtype=bool)
         while not live.any():
-            partner = rng.integers(0, 3 * n - 2) - i_plus_k
-            live = (partner >= 0) & (partner < n) & (rng.random((n, n)) < 0.8)
+            live = (grid.partner_bins() >= 0) & (rng.random((n, n)) < 0.8)
         amps = rng.rayleigh(size=(n, n)) * np.exp(2j * np.pi * rng.random((n, n))) * live
-        state = TriphotonTensor(amps / np.linalg.norm(amps), np.where(live, partner, -1), grid)
+        state = TriphotonTensor(amps / np.linalg.norm(amps), grid)
         red = pair_sectors(state)
         _assert_matches_dense(red, reduce_lost_photon(state))
         entangled += red.negativity() > 1e-3
@@ -357,6 +346,6 @@ def test_w_integrand_matches_discrete_amplitudes(f2):
     grid = ModeGrid(9, -1.2, 1.2)
     state = build_w_discrete(CFG, (GAUSS, f2, GAUSS), grid)
     F = _w_integrand(CFG, GAUSS, f2, GAUSS, grid.centers())
-    on = state.partner_bins >= 0
+    on = grid.partner_bins() >= 0
     scale = np.sqrt(np.sum(np.abs(F[on]) ** 2))
     np.testing.assert_allclose(F[on] / scale, state.amplitudes[on], rtol=0, atol=1e-14)

@@ -46,11 +46,9 @@ from .errors import (
 )
 from .modes import (
     ModeGrid,
-    SectorDensity,
     TriphotonTensor,
     build_ghz_discrete,
     build_w_discrete,
-    pair_sectors,
     purity,
     reduce_lost_photon,
 )

@@ -260,9 +260,9 @@ def _qubit_checks() -> dict[str, Any]:
     }
 
 
-def _sector_stats(red: mspace.SectorDensity) -> dict[str, int]:
+def _sector_stats(state: mspace.TriphotonTensor) -> dict[str, int]:
     """Non-empty conservation sectors and the most pair states one populates."""
-    sizes = red.block_sizes()
+    sizes = state.pair_sector_sizes()
     return {"max_block": int(sizes.max()), "sectors": int(np.count_nonzero(sizes))}
 
 
@@ -277,11 +277,11 @@ def cmd_modes(cfg: ExperimentConfig, out_dir: Path) -> dict[str, Any]:
     grid = cfg.mode_grid
     f1, f2, f3 = _filters3(cfg)
 
-    w_red = mspace.pair_sectors(mspace.build_w_discrete(cfg.phase_match, (f1, f2, f3), grid))
-    w_neg = w_red.negativity()
-    ghz_red = mspace.pair_sectors(mspace.build_ghz_discrete(cfg.phase_match, (f1, f2), grid))
-    ghz_neg = ghz_red.negativity()
-    ghz_offdiag = ghz_red.max_offdiagonal()
+    w_state = mspace.build_w_discrete(cfg.phase_match, (f1, f2, f3), grid)
+    w_neg = w_state.pair_negativity()
+    ghz_state = mspace.build_ghz_discrete(cfg.phase_match, (f1, f2), grid)
+    ghz_neg = ghz_state.pair_negativity()
+    ghz_offdiag = ghz_state.pair_max_offdiagonal()
 
     checks = _qubit_checks()
     w_ok = w_neg > 1e-6
@@ -291,9 +291,9 @@ def cmd_modes(cfg: ExperimentConfig, out_dir: Path) -> dict[str, Any]:
             "diagonal": bool(ghz_offdiag < 1e-14),
             "max_offdiagonal": ghz_offdiag,
             "negativity": ghz_neg,
-            "purity": ghz_red.purity(),
+            "purity": ghz_state.pair_purity(),
             "separable_after_loss": ghz_ok,
-            **_sector_stats(ghz_red),
+            **_sector_stats(ghz_state),
         },
         "mode_grid": {"n_bins": grid.n_bins, "nu_min_rad_per_ps": grid.nu_min,
                       "nu_max_rad_per_ps": grid.nu_max},
@@ -302,8 +302,8 @@ def cmd_modes(cfg: ExperimentConfig, out_dir: Path) -> dict[str, Any]:
         "w111": {
             "entangled_after_loss": bool(w_ok),
             "negativity": w_neg,
-            "purity": w_red.purity(),
-            **_sector_stats(w_red),
+            "purity": w_state.pair_purity(),
+            **_sector_stats(w_state),
         },
     }
     summary = _summary("modes", cfg, [], report, started)
@@ -366,13 +366,11 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, param: str, values: Sequence
             widths = [_fmt(corr.fwhm(pair)), _fmt(corr.fwhm(conditional)),
                       _fmt(corr.fwhm(spatial))]
             widths_inputs = inputs
-        w_red = mspace.pair_sectors(
-            mspace.build_w_discrete(row_cfg.phase_match, (f1, f2, f3), row_cfg.mode_grid))
-        ghz_red = mspace.pair_sectors(
-            mspace.build_ghz_discrete(row_cfg.phase_match, (f1, f2), row_cfg.mode_grid))
+        w_state = mspace.build_w_discrete(row_cfg.phase_match, (f1, f2, f3), row_cfg.mode_grid)
+        ghz_state = mspace.build_ghz_discrete(row_cfg.phase_match, (f1, f2), row_cfg.mode_grid)
         lines.append(",".join([
             param, _fmt(float(value)), *widths,
-            _fmt(w_red.negativity()), _fmt(ghz_red.negativity()),
+            _fmt(w_state.pair_negativity()), _fmt(ghz_state.pair_negativity()),
         ]))
     path = out_dir / f"sweep_{param}.csv"
     _write_text(path, "\n".join(lines) + "\n")

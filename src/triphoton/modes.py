@@ -13,18 +13,15 @@ bin, so A is diagonal. Detection filters are folded into the amplitudes,
 so the discrete state and the continuous correlators describe the same
 post-filter physics.
 
-The pair vector heralded by lost-photon bin k lies on one anti-diagonal
-a + b = J0 - k of the (photon-1 bin, partner bin) plane, so the n
-heralded vectors sit in n distinct sectors, distinct even modulo n.
-Sectors s and s + n share no photon-1 bin, so basis state (a, b) can be
-filed under block t = (a + b) mod n and row a, and the reduced pair
-state is the direct sum of n rank-1 blocks x_t x_t^dagger.
-``SectorDensity`` stores it as the n x n matrix X of those vectors, a
-column permutation of A: n^2 numbers instead of the n^4 of the dense
-n^2 x n^2 ``DensityMatrix`` that ``reduce_lost_photon`` builds. Its
-partial transpose is block diagonal in (a - b) mod n, so the negativity
-costs n eigensolves of n x n instead of one of n^2 x n^2. The dense
-reducer stays as the reference implementation.
+Lost-photon bin k heralds the pair vector A[:, k], and all of it lies
+on one anti-diagonal a + b = J0 - k of the (photon-1 bin, partner bin)
+plane, so the n heralded vectors sit in n distinct conservation sectors
+and the reduced pair state is their orthogonal direct sum. The tensor
+therefore reads the pair state's figures (negativity, purity, largest
+off-diagonal element, sector sizes) straight off A, from n^2 numbers
+instead of the n^4 of the dense n^2 x n^2 ``DensityMatrix`` that
+``reduce_lost_photon`` builds; that dense reducer stays as the
+reference implementation.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ import numpy as np
 
 from .correlators import _w_integrand
 from .errors import DegenerateInputError, InvalidArgumentError
-from .qubits import TRACE_TOL, DensityMatrix
+from .qubits import DensityMatrix
 from .spectra import FilterSpec, PhaseMatchConfig, detuning_ghz, filter_eval, phi
 
 
@@ -58,6 +55,10 @@ class ModeGrid:
         object.__setattr__(self, "n_bins", int(self.n_bins))
         object.__setattr__(self, "nu_min", float(self.nu_min))
         object.__setattr__(self, "nu_max", float(self.nu_max))
+        width = self.bin_width
+        if not (0.0 < width < math.inf and math.isfinite(3.0 * self.nu_min / width)):
+            raise InvalidArgumentError(f"bin width {width!r} must be positive and finite, and so must "
+                                       f"the partner offset -3 nu_min / bin width (nu_min {self.nu_min})")
 
     def centers(self) -> np.ndarray:
         return np.linspace(self.nu_min, self.nu_max, self.n_bins)
@@ -97,6 +98,12 @@ class TriphotonTensor:
     and of the lost photon (columns), normalized to unit norm. The
     remaining partner photon sits in ``grid.partner_bins()[i, k]``;
     combinations whose partner falls off the grid carry amplitude 0.
+
+    The ``pair_*`` methods describe the pair state left once the lost
+    photon is traced out, rho = sum_k |chi_k><chi_k| with
+    |chi_k> = sum_i A[i, k] |i>|J0 - (i + k)>. Each column lies in its
+    own sector a + b = J0 - k, so the n vectors are orthogonal and rho
+    is Hermitian and positive by construction.
     """
 
     amplitudes: np.ndarray
@@ -113,6 +120,49 @@ class TriphotonTensor:
         if abs(norm2 - 1.0) > 1e-12:
             raise InvalidArgumentError(f"norm^2 deviates from 1 by {abs(norm2 - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", amps)
+
+    def pair_negativity(self) -> float:
+        """Sum of |negative eigenvalues| of the pair state's partial
+        transpose across the photon cut, as ``qubits.negativity(rho, (0,))``
+        on ``reduce_lost_photon(self)``.
+
+        Transposing photon 1 maps <a, b|rho|a', b'> to <a', b|rho|a, b'>,
+        which is zero unless a - b = a' - b'. The partial transpose is
+        therefore block diagonal in u = (a - b) mod n, with
+        B_u[a, a'] = A[a', k] conj(A[a, k]) and k = (J0 + u - a - a') mod n;
+        one gather and one batched eigensolve cover all n blocks.
+        """
+        amps = self.amplitudes
+        a = np.arange(len(amps))
+        # J0 only relabels the blocks; it stays so that the negative
+        # eigenvalues are summed in the order that fixes the reports' last digit
+        k = (self.grid.partner_offset + a[:, None, None]
+             - a[None, :, None] - a[None, None, :]) % len(amps)  # [u, a, a']
+        eigs = np.linalg.eigvalsh(amps[a[None, None, :], k] * amps[a[None, :, None], k].conj())
+        return float(-eigs[eigs < 0.0].sum()) + 0.0
+
+    def pair_purity(self) -> float:
+        """tr(rho^2) = sum_k |A[:, k]|^4, the heralded vectors being
+        orthogonal."""
+        n = self.grid.n_bins
+        amps = self.amplitudes
+        norms = np.sum(amps.real**2 + amps.imag**2, axis=0)
+        # summed in sector order (J0 - k) mod n, not column order k:
+        # np.sum's pairwise rounding depends on the order, and sector order
+        # reproduces the last digit the reports have always printed
+        return float(np.sum(np.take(norms, (self.grid.partner_offset - np.arange(n)) % n) ** 2))
+
+    def pair_max_offdiagonal(self) -> float:
+        """Largest |rho_ij| with i != j: the product of the two largest
+        |A[i, k]| of one column; elements between columns are 0."""
+        top = np.sort(np.abs(self.amplitudes), axis=0)[-2:]
+        return float((top[0] * top[1]).max())
+
+    def pair_sector_sizes(self) -> np.ndarray:
+        """Number of pair basis states (nonzero amplitude) in the sector
+        of each column k, a + b = J0 - k."""
+        amps = self.amplitudes
+        return np.count_nonzero(amps.real**2 + amps.imag**2 > 0.0, axis=0)
 
 
 def _normalize(amps: np.ndarray) -> np.ndarray:
@@ -183,77 +233,3 @@ def reduce_lost_photon(state: TriphotonTensor) -> DensityMatrix:
 def purity(rho: DensityMatrix) -> float:
     """tr(rho^2): 1 for pure states, 1/d for the maximally mixed state."""
     return float(np.real(np.trace(rho.matrix @ rho.matrix)))
-
-
-@dataclass(frozen=True)
-class SectorDensity:
-    """Two-photon density matrix stored as its n heralded pair vectors.
-
-    ``vectors[a, t]`` is the amplitude on |a, (t-a) mod n> of the vector
-    x_t in block t, shape (n, n), and rho = sum_t |x_t><x_t|. Every pair
-    basis state (a, b) appears once, in block t = (a + b) mod n, so the
-    blocks are orthogonal: block t holds sector t on rows a <= t and
-    sector t + n on rows a > t, and conservation gives each lost-photon
-    bin's vector a block of its own. Hermitian and positive by
-    construction; validated for unit trace, sum |X|^2 = 1.
-    """
-
-    vectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        x = np.asarray(self.vectors, dtype=complex)
-        if x.ndim != 2 or x.shape[0] != x.shape[1] or len(x) < 2:
-            raise InvalidArgumentError(f"heralded vectors must have shape (n, n), n >= 2, got {x.shape}")
-        tr = float(np.sum(x.real**2 + x.imag**2))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise InvalidArgumentError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        object.__setattr__(self, "vectors", x)
-
-    def purity(self) -> float:
-        """tr(rho^2) = sum_t |x_t|^4, the blocks being orthogonal rank-1."""
-        x = self.vectors
-        return float(np.sum(np.sum(x.real**2 + x.imag**2, axis=0) ** 2))
-
-    def negativity(self) -> float:
-        """Sum of |negative eigenvalues| of the partial transpose across
-        the photon cut, as ``qubits.negativity(rho, (0,))`` on the dense
-        matrix.
-
-        Transposing photon 1 maps <a, b|rho|a', b'> to <a', b|rho|a, b'>,
-        which is zero unless a - b = a' - b'. The partial transpose is
-        therefore block diagonal in u = (a - b) mod n, with
-        B_u[a, a'] = X[a', t] conj(X[a, t]) and t = (a + a' - u) mod n;
-        one gather and one batched eigensolve cover all n blocks.
-        """
-        x = self.vectors
-        a = np.arange(len(x))
-        t = (a[None, :, None] + a[None, None, :] - a[:, None, None]) % len(x)  # [u, a, a']
-        eigs = np.linalg.eigvalsh(x[a[None, None, :], t] * x[a[None, :, None], t].conj())
-        return float(-eigs[eigs < 0.0].sum()) + 0.0
-
-    def max_offdiagonal(self) -> float:
-        """Largest |rho_ij| with i != j: the product of the two largest
-        |X[a, t]| of one vector; elements between blocks are 0."""
-        top = np.sort(np.abs(self.vectors), axis=0)[-2:]
-        return float((top[0] * top[1]).max())
-
-    def block_sizes(self) -> np.ndarray:
-        """Number of pair basis states each sector s = a + b populates
-        (nonzero amplitude), for s = 0 .. 2n - 2."""
-        x = self.vectors
-        a, t = np.nonzero(x.real**2 + x.imag**2 > 0.0)
-        return np.bincount(a + (t - a) % len(x), minlength=2 * len(x) - 1)
-
-
-def pair_sectors(state: TriphotonTensor) -> SectorDensity:
-    """``reduce_lost_photon`` in sector form.
-
-    Lost-photon bin k heralds |chi_k> = sum_i A[i, k] |i>|J0 - (i + k)>,
-    which lies in sector s_k = J0 - k, so column k is the vector of block
-    s_k mod n: X[:, (J0 - k) mod n] = A[:, k], a column permutation.
-    Off-grid entries of A are already 0.
-    """
-    n = state.grid.n_bins
-    # np.take keeps X row-major; A[:, perm] is column-major, which reorders
-    # the column sums in purity() and moves its last digit
-    return SectorDensity(np.take(state.amplitudes, (state.grid.partner_offset - np.arange(n)) % n, axis=1))

@@ -403,6 +403,15 @@ def test_schema_error_exit_code(tmp_path):
     assert main(["modes", "--config", str(path), "--out", str(tmp_path)]) == 2
 
 
+def test_overflowing_mode_grid_is_schema_error(tmp_path, capsys):
+    # the bin width (nu_max - nu_min) / (n_bins - 1) overflows to inf
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mode_grid": {"nu_min_rad_per_ps": -1e308,
+                                              "nu_max_rad_per_ps": 1e308}}), encoding="utf-8")
+    assert main(["modes", "--config", str(path), "--out", str(tmp_path / "m")]) == 2
+    assert "mode_grid" in capsys.readouterr().err
+
+
 def test_output_path_collision_is_io_error(tmp_path, fast_config, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x", encoding="utf-8")

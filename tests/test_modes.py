@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from triphoton import (
+    CorrelationSurface,
     DegenerateInputError,
     FilterSpec,
     InvalidArgumentError,
@@ -13,13 +14,15 @@ from triphoton import (
     TriphotonTensor,
     build_ghz_discrete,
     build_w_discrete,
+    default_config,
+    fwhm,
+    g2_w_temporal,
     negativity,
-    pair_sectors,
+    normalize_to_peak,
     purity,
     reduce_lost_photon,
 )
 from triphoton.correlators import _w_integrand
-from triphoton.modes import SectorDensity
 from triphoton.qubits import DensityMatrix
 
 CFG = PhaseMatchConfig(-20.0, -20.0)
@@ -34,36 +37,30 @@ TINY_T = PhaseMatchConfig(-1e-6, -1e-6)  # envelope is 1 to ~1e-12 on the grid
 W_NEGATIVITY_8_BINS = 0.014341692172571054
 
 
-def _dense_from_sectors(red: SectorDensity) -> np.ndarray:
-    """The n^2 x n^2 matrix sum_t |x_t><x_t| the heralded vectors stand for."""
-    n = len(red.vectors)
-    a, t = np.indices((n, n))
-    v = np.zeros((n * n, n), dtype=complex)
-    v[a * n + (t - a) % n, t] = red.vectors
-    return v @ v.conj().T
-
-
 def _dense_figures(rho: DensityMatrix) -> list[float]:
     off = rho.matrix - np.diag(np.diag(rho.matrix))
     return [negativity(rho, (0,)), purity(rho), float(np.abs(off).max())]
 
 
-def _assert_matches_dense(red: SectorDensity, rho: DensityMatrix) -> None:
-    np.testing.assert_allclose(_dense_from_sectors(red), rho.matrix, rtol=0, atol=1e-15)
-    n = len(red.vectors)
+def _assert_matches_dense(state: TriphotonTensor, rho: DensityMatrix) -> None:
+    n = state.grid.n_bins
     populated = np.diag(rho.matrix).real.reshape(n, n) > 0.0  # [a, b]
-    sector = np.add.outer(np.arange(n), np.arange(n))
-    np.testing.assert_array_equal(red.block_sizes(),
-                                  np.bincount(sector[populated], minlength=2 * n - 1))
-    np.testing.assert_allclose([red.negativity(), red.purity(), red.max_offdiagonal()],
-                               _dense_figures(rho), rtol=0, atol=1e-12)
+    # pair state (a, b) lies in sector a + b, heralded by lost-photon bin J0 - (a + b)
+    column = state.grid.partner_offset - np.add.outer(np.arange(n), np.arange(n))
+    np.testing.assert_array_equal(state.pair_sector_sizes(),
+                                  np.bincount(column[populated], minlength=n))
+    np.testing.assert_allclose(
+        [state.pair_negativity(), state.pair_purity(), state.pair_max_offdiagonal()],
+        _dense_figures(rho), rtol=0, atol=1e-12)
 
 
 def test_mode_grid_basics():
     g = ModeGrid(5, -1.0, 1.0)
     np.testing.assert_allclose(g.centers(), [-1.0, -0.5, 0.0, 0.5, 1.0])
     assert g.bin_width == pytest.approx(0.5)
-    for bad in ((1, -1.0, 1.0), (4, 1.0, -1.0), (4, 0.0, 0.0)):
+    # the last three leave the bin width or the partner offset J0 non-finite
+    for bad in ((1, -1.0, 1.0), (4, 1.0, -1.0), (4, 0.0, 0.0),
+                (3, -1e308, 1e308), (2, -1e308, 1e307), (3, 0.0, 5e-324)):
         with pytest.raises(InvalidArgumentError):
             ModeGrid(*bad)
 
@@ -173,10 +170,9 @@ def test_reduce_w_single_slice_pure():
     chi[1 * 2 + 0] = amps[1, 1]
     expected = negativity(PureState(chi, (2, 2)).density(), (0,))
     assert negativity(rho, (0,)) == pytest.approx(expected, abs=1e-12)
-    sectors = pair_sectors(state)
-    _assert_matches_dense(sectors, rho)
-    assert sectors.purity() == pytest.approx(1.0, abs=1e-12)
-    assert sectors.negativity() == pytest.approx(expected, abs=1e-12)
+    _assert_matches_dense(state, rho)
+    assert state.pair_purity() == pytest.approx(1.0, abs=1e-12)
+    assert state.pair_negativity() == pytest.approx(expected, abs=1e-12)
 
 
 def test_reduce_w_conservation_alone_entangles():
@@ -229,7 +225,7 @@ def test_purity_values():
     state = TriphotonTensor(amps, grid)
     rho = reduce_lost_photon(state)
     assert purity(rho) == pytest.approx(0.25, abs=1e-12)
-    assert pair_sectors(state).purity() == pytest.approx(0.25, abs=1e-12)
+    assert state.pair_purity() == pytest.approx(0.25, abs=1e-12)
     d = 6
     maximally_mixed = DensityMatrix(np.eye(d, dtype=complex) / d, (2, 3))
     assert purity(maximally_mixed) == pytest.approx(1.0 / d, abs=1e-12)
@@ -272,6 +268,14 @@ def test_tensor_validation():
     off_grid_amp = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(InvalidArgumentError, match="off-grid"):
         TriphotonTensor(off_grid_amp, grid)
+    amps = np.zeros((2, 2), dtype=complex)
+    amps[:, 1] = np.sqrt(0.5)  # (|0,1> + |1,0>)/sqrt(2)
+    assert TriphotonTensor(amps, grid).pair_purity() == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(InvalidArgumentError, match="norm"):
+        TriphotonTensor(amps * 2.0, grid)
+    for bad in (amps[0], np.zeros((2, 2, 2)), amps[:1], amps[:, :1]):
+        with pytest.raises(InvalidArgumentError, match="shape"):
+            TriphotonTensor(bad, grid)
 
 
 @pytest.mark.parametrize("span", [(-1.2, 1.2), (-0.4, 0.4), (-1.0, 1.0), (-1.3, 0.9)])
@@ -280,9 +284,9 @@ def test_sector_path_matches_dense_oracle(span):
         grid = ModeGrid(n, *span)
         w_state = build_w_discrete(CFG, (GAUSS, GAUSS, GAUSS), grid)
         ghz_state = build_ghz_discrete(CFG, (GAUSS, GAUSS), grid)
-        _assert_matches_dense(pair_sectors(w_state), reduce_lost_photon(w_state))
+        _assert_matches_dense(w_state, reduce_lost_photon(w_state))
         ghz_red = reduce_lost_photon(ghz_state)
-        _assert_matches_dense(pair_sectors(ghz_state), ghz_red)
+        _assert_matches_dense(ghz_state, ghz_red)
         # losing one pair photon leaves sum_i |B_i|^2 |i, p_i><i, p_i|
         b = np.diag(ghz_state.amplitudes)
         p = np.diag(grid.partner_bins())
@@ -290,15 +294,6 @@ def test_sector_path_matches_dense_oracle(span):
         expected = np.zeros(n * n)
         expected[np.flatnonzero(on) * n + p[on]] = np.abs(b[on]) ** 2
         np.testing.assert_allclose(ghz_red.matrix, np.diag(expected), rtol=0, atol=1e-15)
-
-
-def test_sector_density_validation():
-    x = np.zeros((2, 2), dtype=complex)
-    x[:, 1] = np.sqrt(0.5)  # (|0,1> + |1,0>)/sqrt(2)
-    assert SectorDensity(x).purity() == pytest.approx(1.0, abs=1e-15)
-    for bad in (x * 2.0, x[:1], x[:, :1], np.zeros((2, 2, 2)), x[0], np.ones((1, 1))):
-        with pytest.raises(InvalidArgumentError):
-            SectorDensity(bad)
 
 
 def test_sector_path_matches_dense_on_random_tensors():
@@ -317,9 +312,8 @@ def test_sector_path_matches_dense_on_random_tensors():
             live = (grid.partner_bins() >= 0) & (rng.random((n, n)) < 0.8)
         amps = rng.rayleigh(size=(n, n)) * np.exp(2j * np.pi * rng.random((n, n))) * live
         state = TriphotonTensor(amps / np.linalg.norm(amps), grid)
-        red = pair_sectors(state)
-        _assert_matches_dense(red, reduce_lost_photon(state))
-        entangled += red.negativity() > 1e-3
+        _assert_matches_dense(state, reduce_lost_photon(state))
+        entangled += state.pair_negativity() > 1e-3
     assert entangled >= 10
 
 
@@ -330,8 +324,8 @@ def test_sector_negativity_continuum_limit():
     w_negs = []
     for n in (17, 33, 65):
         grid = ModeGrid(n, -1.2, 1.2)
-        w_negs.append(pair_sectors(build_w_discrete(CFG, (GAUSS, GAUSS, GAUSS), grid)).negativity())
-        assert pair_sectors(build_ghz_discrete(CFG, (GAUSS, GAUSS), grid)).negativity() == 0.0
+        w_negs.append(build_w_discrete(CFG, (GAUSS, GAUSS, GAUSS), grid).pair_negativity())
+        assert build_ghz_discrete(CFG, (GAUSS, GAUSS), grid).pair_negativity() == 0.0
     n17, n33, n65 = w_negs
     assert abs(n65 - n33) < 1e-5 * n33
     assert n33 == pytest.approx(0.12767, rel=1e-4)
@@ -349,3 +343,23 @@ def test_w_integrand_matches_discrete_amplitudes(f2):
     on = grid.partner_bins() >= 0
     scale = np.sqrt(np.sum(np.abs(F[on]) ** 2))
     np.testing.assert_allclose(F[on] / scale, state.amplitudes[on], rtol=0, atol=1e-14)
+
+
+def test_discrete_pair_g2_matches_continuum():
+    # with arm 3 unfiltered, the pair G2 of the discrete state,
+    # sum_k |sum_i A[i, k] exp(i nu_i tau)|^2, is the continuum g2_w_temporal
+    # once the span holds photon 2's filter (6 sigma) and the delay period
+    # 2 pi / dnu (84 ps at n = 65) keeps the repeated copy off the 40 ps grid
+    cfg = default_config()
+    taus = cfg.grid("tau12_ps")
+    grid = ModeGrid(65, -2.4, 2.4)
+    amps = build_w_discrete(CFG, (GAUSS, GAUSS, FLAT), grid).amplitudes
+    heralded = np.exp(1j * np.outer(taus.points(), grid.centers())) @ amps
+    values = np.sum(heralded.real**2 + heralded.imag**2, axis=1)
+    discrete = normalize_to_peak(CorrelationSurface((taus,), values))
+    for method in ("fft", "quad"):
+        continuum = normalize_to_peak(g2_w_temporal(CFG, GAUSS, GAUSS, cfg.quadrature, taus,
+                                                    method=method))
+        assert np.abs(discrete.values - continuum.values).max() < 1e-10
+        assert fwhm(discrete) == pytest.approx(fwhm(continuum), rel=1e-9)
+    assert fwhm(discrete) == pytest.approx(17.2484423, abs=1e-7)

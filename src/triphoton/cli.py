@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 I/O failure, 2 usage or schema error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -72,37 +73,31 @@ def _write_text(path: Path, text: str) -> None:
         raise OSError(f"cannot write {path}: {err}") from err
 
 
-def write_curve_csv(path: Path, axis_name: str, value_name: str,
-                    surface: CorrelationSurface, mask_negative_axis: bool = False) -> None:
-    xs = surface.grid.points()
-    vs = surface.values
-    if mask_negative_axis:
-        keep = xs >= 0.0
-        xs, vs = xs[keep], vs[keep]
-    lines = [f"{axis_name},{value_name}"]
-    lines += [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, vs)]
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def write_surface_csv(path: Path, axis_names: tuple[str, str], value_name: str,
+def write_surface_csv(path: Path, axis_names: tuple[str, ...], value_name: str,
                       surface: CorrelationSurface, mask_negative_axis: bool = False) -> None:
-    xs = surface.axes[0].points()
-    ys = surface.axes[1].points()
+    """One row per sample of a curve or surface: its axis values, then its
+    value. ``mask_negative_axis`` drops the negative values of every axis."""
+    axes = [g.points() for g in surface.axes]
     vals = surface.values
     if mask_negative_axis:
-        vals = vals[xs >= 0.0][:, ys >= 0.0]
-        xs, ys = xs[xs >= 0.0], ys[ys >= 0.0]
+        keep = [xs >= 0.0 for xs in axes]
+        vals = vals[np.ix_(*keep)]
+        axes = [xs[k] for xs, k in zip(axes, keep)]
     # each axis value is formatted once, not once per cell
-    ys_text = [f",{_fmt(y)}," for y in ys]
-    lines = [f"{axis_names[0]},{axis_names[1]},{value_name}"]
-    for x, row in zip(xs, vals.tolist()):
-        x_text = _fmt(x)
-        lines += [x_text + y + _fmt(v) for y, v in zip(ys_text, row)]
+    texts = [[_fmt(x) for x in xs.tolist()] for xs in axes]
+    lines = [",".join((*axis_names, value_name))]
+    lines += [",".join(coords) + "," + _fmt(v)
+              for coords, v in zip(itertools.product(*texts), vals.ravel().tolist())]
     _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path: Path, payload: dict[str, Any]) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write ``payload``; a non-finite number anywhere in it is an error."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as err:
+        raise TriphotonError(f"{path.name} would hold a non-finite number: {err}") from None
+    _write_text(path, text + "\n")
 
 
 def _peak_location(surface: CorrelationSurface) -> list[float]:
@@ -113,16 +108,12 @@ def _peak_location(surface: CorrelationSurface) -> list[float]:
 
 def _summary(command: str, cfg: ExperimentConfig, outputs: list[str],
              metrics: dict[str, Any], started: float) -> dict[str, Any]:
-    wall_ms = (time.perf_counter() - started) * 1e3
-    for key, value in metrics.items():
-        if isinstance(value, float) and not np.isfinite(value):
-            raise TriphotonError(f"summary metric {key} is not finite")
     return {
         "command": command,
         "config": config_to_dict(cfg),
         "metrics": metrics,
         "outputs": sorted(outputs),
-        "wall_ms": wall_ms,
+        "wall_ms": (time.perf_counter() - started) * 1e3,
     }
 
 
@@ -150,8 +141,8 @@ def cmd_figure1(cfg: ExperimentConfig, out_dir: Path, physical_mask: bool = True
         "c": out_dir / "fig1c_g2_w_temporal.csv",
     }
     write_surface_csv(paths["a"], ("tau12_ps", "tau32_ps"), "g3", surface, physical_mask)
-    write_curve_csv(paths["b"], "tau12_ps", "g3", conditional, physical_mask)
-    write_curve_csv(paths["c"], "tau12_ps", "g2", pair, physical_mask)
+    write_surface_csv(paths["b"], ("tau12_ps",), "g3", conditional, physical_mask)
+    write_surface_csv(paths["c"], ("tau12_ps",), "g2", pair, physical_mask)
 
     fwhm_b = corr.fwhm(conditional)
     fwhm_c = corr.fwhm(pair)
@@ -229,13 +220,10 @@ def cmd_correlate(cfg: ExperimentConfig, out_dir: Path, state: str, domain: str,
         _write_json(path, metrics)
     else:
         path = out_dir / f"{stem}.csv"
-        mask = physical_mask and domain == "time"
+        write_surface_csv(path, layout, f"g{order}", result, physical_mask and domain == "time")
+        metrics = {"peak_location": _peak_location(result)}
         if len(layout) == 1:
-            write_curve_csv(path, layout[0], f"g{order}", result, mask)
-            metrics = {"fwhm": corr.fwhm(result), "peak_location": _peak_location(result)}
-        else:
-            write_surface_csv(path, layout, f"g{order}", result, mask)
-            metrics = {"peak_location": _peak_location(result)}
+            metrics["fwhm"] = corr.fwhm(result)
 
     summary = _summary("correlate", cfg, [str(path)], metrics, started)
     _write_json(out_dir / f"{stem}_summary.json", summary)
@@ -306,8 +294,7 @@ def cmd_modes(cfg: ExperimentConfig, out_dir: Path) -> dict[str, Any]:
             **_sector_stats(w_state),
         },
     }
-    summary = _summary("modes", cfg, [], report, started)
-    report["wall_ms"] = summary["wall_ms"]
+    report["wall_ms"] = (time.perf_counter() - started) * 1e3
     _write_json(out_dir / "modes_report.json", report)
     if not report["pass"]:
         raise PropertyViolationError(

@@ -96,8 +96,8 @@ class QuadratureSpec:
     envelope; ``validate_for`` enforces that before any correlator runs.
     """
 
-    n_points: int = 1024
-    nu_span: float = 3.0
+    n_points: int
+    nu_span: float
 
     def __post_init__(self) -> None:
         if int(self.n_points) != self.n_points or self.n_points < 2:
@@ -169,12 +169,6 @@ class CorrelationSurface:
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "values", values)
 
-    @property
-    def grid(self) -> Grid1D:
-        if len(self.axes) != 1:
-            raise InvalidArgumentError("grid is only defined for 1-D surfaces")
-        return self.axes[0]
-
 
 def _check_method(method: str) -> None:
     if method not in ("fft", "quad"):
@@ -195,15 +189,15 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def czt(x: np.ndarray, m: int, w: complex, a: complex, axis: int = -1) -> np.ndarray:
-    """Chirp-z transform X_k = sum_n x_n a^-n w^(n k), k = 0..m-1, along ``axis``.
+def czt(x: np.ndarray, m: int, w: complex, a: complex) -> np.ndarray:
+    """Chirp-z transform X_k = sum_n x_n a^-n w^(n k), k = 0..m-1, along the last axis.
 
     Bluestein: n k = (n^2 + k^2 - (k - n)^2) / 2 turns the sum into a
     circular convolution with the chirp w^(-j^2/2), evaluated by FFT in one
     C-ordered, zero-padded (rows, L) buffer so that transposed inputs never
     reach the FFT as strided views.
     """
-    x = np.moveaxis(np.asarray(x), axis, -1)
+    x = np.asarray(x)
     n = x.shape[-1]
     L = _fast_len(n + m - 1)
     k = np.arange(max(m, n))
@@ -216,7 +210,7 @@ def czt(x: np.ndarray, m: int, w: complex, a: complex, axis: int = -1) -> np.nda
     np.fft.fft(buf, axis=-1, out=buf)
     buf *= np.fft.fft(kernel)
     np.fft.ifft(buf, axis=-1, out=buf)
-    return np.moveaxis(buf[..., :m] * wk2[:m], -1, axis)
+    return buf[..., :m] * wk2[:m]
 
 
 def _transform_czt(c: np.ndarray, nu: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -230,7 +224,7 @@ def _transform_czt(c: np.ndarray, nu: np.ndarray, taus: np.ndarray) -> np.ndarra
     dtau = taus[1] - taus[0]
     w = np.exp(1j * dnu * dtau)
     a = np.exp(-1j * dnu * tau0)
-    out = czt(c, m=len(taus), w=w, a=a, axis=-1)
+    out = czt(c, m=len(taus), w=w, a=a)
     out = out * np.exp(1j * nu[0] * taus)
     return out
 
@@ -242,9 +236,24 @@ def _transform_direct(c: np.ndarray, nu: np.ndarray, taus: np.ndarray) -> np.nda
 
 
 def _transform(c: np.ndarray, nu: np.ndarray, taus: np.ndarray, method: Method) -> np.ndarray:
+    _check_method(method)
     if method == "fft":
         return _transform_czt(c, nu, taus)
     return _transform_direct(c, nu, taus)
+
+
+def _total(density: np.ndarray, method: Method) -> float:
+    """Sum of a real density: numpy's pairwise sum on ``fft``, a compensated
+    serial sum on ``quad`` as an order-independent cross-check."""
+    _check_method(method)
+    if method == "quad":
+        return math.fsum(density.tolist())
+    return float(density.sum())
+
+
+def _intensity(grids: tuple[Grid1D, ...], amp: np.ndarray) -> CorrelationSurface:
+    """|amp|^2 over ``grids``, normalized to its peak."""
+    return normalize_to_peak(CorrelationSurface(grids, amp.real**2 + amp.imag**2))
 
 
 def _w_integrand(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
@@ -295,7 +304,6 @@ def _w_photon1(cfg: PhaseMatchConfig, filters: tuple[FilterSpec, ...], quad: Qua
     """Nodes, weights and the photon-1 transform every W temporal correlator
     reduces: inner[j, a] = sum_i w_i F(nu_i, nu_j) exp(+i nu_i tau12_a), F
     taken without arm 3."""
-    _check_method(method)
     quad.validate_for(cfg, filters)
     nu, w = quad.nodes_weights()
     F = _w_integrand(cfg, filters[0], filters[1], None, nu)
@@ -309,15 +317,13 @@ def _w_pair(w: np.ndarray, inner: np.ndarray, grid: Grid1D) -> CorrelationSurfac
 
 def _w_surface(nu: np.ndarray, c3: np.ndarray, inner: np.ndarray,
                grids: tuple[Grid1D, Grid1D], method: Method) -> CorrelationSurface:
-    amp = _transform((c3[:, None] * inner).T, nu, grids[1].points(), method)   # (m12, m32)
-    return normalize_to_peak(CorrelationSurface(grids, amp.real**2 + amp.imag**2))
+    return _intensity(grids, _transform((c3[:, None] * inner).T, nu, grids[1].points(), method))
 
 
 def _w_conditional(cfg: PhaseMatchConfig, nu: np.ndarray, c3: np.ndarray, inner: np.ndarray,
                    grid: Grid1D) -> CorrelationSurface:
     tau32 = abs(cfg.t12) - grid.points()
-    amp = (c3[:, None] * inner * np.exp(1j * np.outer(nu, tau32))).sum(axis=0)
-    return normalize_to_peak(CorrelationSurface((grid,), amp.real**2 + amp.imag**2))
+    return _intensity((grid,), (c3[:, None] * inner * np.exp(1j * np.outer(nu, tau32))).sum(axis=0))
 
 
 def g2_w_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
@@ -340,10 +346,10 @@ def g2_w_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
     Its error is an absolute floor of ~n eps of the peak, so a grid that
     sees only the curve's tail is rejected (``DegenerateInputError``).
     """
-    _check_method(method)
     if method == "quad":
         nu, w, inner = _w_photon1(cfg, (f1, f2), quad, grid, method)
         return _w_pair(w, inner, grid)
+    _check_method(method)
     quad.validate_for(cfg, (f1, f2))
     nu, w = quad.nodes_weights()
     n = len(nu)
@@ -435,17 +441,12 @@ def g2_ghz_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
 
     Tracing one degenerate photon pins the surviving pair to a definite
     joint mode, so the result carries no delay dependence at all; the
-    value is a single positive number. The quad path accumulates with a
-    compensated serial sum as an order-independent cross-check.
+    value is a single positive number.
     """
-    _check_method(method)
     quad.validate_for(cfg, (f1, f2))
     nu, w = quad.nodes_weights()
     g = filter_eval(f1, nu) * filter_eval(f2, nu) * phi(detuning_ghz(nu, cfg))
-    density = w * (g.real**2 + g.imag**2)
-    if method == "quad":
-        return math.fsum(density.tolist())
-    return float(density.sum())
+    return _total(w * (g.real**2 + g.imag**2), method)
 
 
 def g3_ghz_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
@@ -457,21 +458,24 @@ def g3_ghz_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
     kernel twice (exp(+2i nu tau)); the curve is a factor 2 narrower than
     the same integrand transformed with a single-photon kernel.
     """
-    _check_method(method)
     quad.validate_for(cfg, (f1, f2))
     nu, w = quad.nodes_weights()
     g = filter_eval(f1, nu) ** 2 * filter_eval(f2, nu) * phi(detuning_ghz(nu, cfg))
-    amp = _transform(w * g, 2.0 * nu, grid.points(), method)
-    vals = amp.real**2 + amp.imag**2
-    return normalize_to_peak(CorrelationSurface((grid,), vals))
+    return _intensity((grid,), _transform(w * g, 2.0 * nu, grid.points(), method))
 
 
-def _alpha_nodes_weights(window: TransverseWindow, n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    # 6 window half-widths put the amplitude at exp(-36); nothing survives beyond
-    return QuadratureSpec(n_points, 6.0 * window.alpha_max).nodes_weights()
+# Transverse trapezoid rule: 6 window half-widths put the amplitude at
+# exp(-36), so nothing survives beyond +-6 alpha_max.
+_ALPHA_POINTS = 1024
 
 
-def g2_w_spatial(window: TransverseWindow, grid: Grid1D, *, n_points: int = 1024,
+def _alpha_nodes_weights(window: TransverseWindow) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes, trapezoid weights and window values of the transverse rule."""
+    alpha, w = QuadratureSpec(_ALPHA_POINTS, 6.0 * window.alpha_max).nodes_weights()
+    return alpha, w, window_eval(window, alpha)
+
+
+def g2_w_spatial(window: TransverseWindow, grid: Grid1D, *,
                  method: Method = "fft") -> CorrelationSurface:
     """Two-photon transverse correlation of the three-mode state.
 
@@ -481,28 +485,20 @@ def g2_w_spatial(window: TransverseWindow, grid: Grid1D, *, n_points: int = 1024
     bandwidth. The grid is the displacement between detectors 1 and 2
     along one transverse axis.
     """
-    _check_method(method)
-    alpha, w = _alpha_nodes_weights(window, n_points)
-    inner = _transform(w * window_eval(window, alpha), alpha, grid.points(), method)
-    return normalize_to_peak(CorrelationSurface((grid,), inner.real**2 + inner.imag**2))
+    alpha, w, W = _alpha_nodes_weights(window)
+    return _intensity((grid,), _transform(w * W, alpha, grid.points(), method))
 
 
-def g3_w_spatial(window: TransverseWindow, grids: tuple[Grid1D, Grid1D], *, n_points: int = 1024,
+def g3_w_spatial(window: TransverseWindow, grids: tuple[Grid1D, Grid1D], *,
                  method: Method = "fft") -> CorrelationSurface:
     """Three-fold transverse correlation surface of the three-mode state."""
-    _check_method(method)
-    g12, g32 = grids
-    alpha, w = _alpha_nodes_weights(window, n_points)
-    W = window_eval(window, alpha)
+    alpha, w, W = _alpha_nodes_weights(window)
     c = w * W
-    a1 = _transform(c, alpha, g12.points(), method)
-    a3 = _transform(c, alpha, g32.points(), method)
-    amp = np.outer(a1, a3)
-    vals = amp.real**2 + amp.imag**2
-    return normalize_to_peak(CorrelationSurface((g12, g32), vals))
+    a1, a3 = (_transform(c, alpha, g.points(), method) for g in grids)
+    return _intensity(grids, np.outer(a1, a3))
 
 
-def g3_ghz_spatial(window: TransverseWindow, grid: Grid1D, *, n_points: int = 1024,
+def g3_ghz_spatial(window: TransverseWindow, grid: Grid1D, *,
                    method: Method = "fft") -> CorrelationSurface:
     """Three-fold transverse correlation of the degenerate-pair state.
 
@@ -510,27 +506,16 @@ def g3_ghz_spatial(window: TransverseWindow, grid: Grid1D, *, n_points: int = 10
     a factor 2 and the curve is half as wide as the single-window
     reference at the same transverse bandwidth.
     """
-    _check_method(method)
-    alpha, w = _alpha_nodes_weights(window, n_points)
-    W = window_eval(window, alpha)
-    c = w * W
-    amp = _transform(c, 2.0 * alpha, grid.points(), method)
-    vals = amp.real**2 + amp.imag**2
-    return normalize_to_peak(CorrelationSurface((grid,), vals))
+    alpha, w, W = _alpha_nodes_weights(window)
+    return _intensity((grid,), _transform(w * W, 2.0 * alpha, grid.points(), method))
 
 
-def g2_ghz_spatial(window: TransverseWindow, *, n_points: int = 1024,
-                   method: Method = "fft") -> float:
+def g2_ghz_spatial(window: TransverseWindow, *, method: Method = "fft") -> float:
     """Displacement-independent transverse constant of the degenerate-pair
     state after one photon of the pair is lost: the windowed transverse
     mode volume."""
-    _check_method(method)
-    alpha, w = _alpha_nodes_weights(window, n_points)
-    W = window_eval(window, alpha)
-    density = w * W**2
-    if method == "quad":
-        return math.fsum(density.tolist())
-    return float(density.sum())
+    alpha, w, W = _alpha_nodes_weights(window)
+    return _total(w * W**2, method)
 
 
 def normalize_to_peak(surface: CorrelationSurface) -> CorrelationSurface:
@@ -557,11 +542,9 @@ def fwhm(surface: CorrelationSurface) -> float:
     x = surface.axes[0].points()
     v = surface.values
     above = v >= 0.5
-    crossings: list[float] = []
-    for i in range(len(v) - 1):
-        if above[i] != above[i + 1]:
-            t = (0.5 - v[i]) / (v[i + 1] - v[i])
-            crossings.append(float(x[i] + t * (x[i + 1] - x[i])))
+    i = np.flatnonzero(above[:-1] != above[1:])
+    t = (0.5 - v[i]) / (v[i + 1] - v[i])
+    crossings = (x[i] + t * (x[i + 1] - x[i])).tolist()
     if len(crossings) != 2 or above[0] or above[-1]:
         shown = [repr(c) for c in crossings]
         if len(shown) > 6:

@@ -117,7 +117,7 @@ class TriphotonTensor:
         if np.any((self.grid.partner_bins() < 0) & (amps != 0)):
             raise InvalidArgumentError("off-grid entries must carry zero amplitude")
         norm2 = float(np.sum(amps.real**2 + amps.imag**2))
-        if abs(norm2 - 1.0) > 1e-12:
+        if not abs(norm2 - 1.0) <= 1e-12:   # written so that NaN fails
             raise InvalidArgumentError(f"norm^2 deviates from 1 by {abs(norm2 - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", amps)
 

@@ -43,7 +43,7 @@ class PureState:
             raise InvalidArgumentError(
                 f"product of dims {dims} does not match amplitude length {amps.size}")
         norm2 = float(np.sum(amps.real**2 + amps.imag**2))
-        if abs(norm2 - 1.0) > NORM_TOL:
+        if not abs(norm2 - 1.0) <= NORM_TOL:   # written so that NaN fails
             raise InvalidArgumentError(f"state norm^2 deviates from 1 by {abs(norm2 - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
@@ -72,13 +72,13 @@ class DensityMatrix:
         if m.shape != (d, d):
             raise InvalidArgumentError(f"matrix shape {m.shape} does not match dims {dims}")
         herm = float(np.max(np.abs(m - m.conj().T))) if d else 0.0
-        if herm > HERMITICITY_TOL:
+        if not herm <= HERMITICITY_TOL:   # each check is written so that NaN fails
             raise InvalidArgumentError(f"matrix is not Hermitian (max deviation {herm:.3e})")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise InvalidArgumentError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
         lo = float(np.linalg.eigvalsh(m).min())
-        if lo < EIGENVALUE_FLOOR:
+        if not lo >= EIGENVALUE_FLOOR:
             raise InvalidArgumentError(f"matrix has eigenvalue {lo:.3e} below the PSD floor")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)

@@ -153,9 +153,9 @@ def test_criterion_5_engine_equivalence_on_every_correlator():
         "w_temporal_panels": lambda m: np.concatenate([
             s.values.ravel() for s in w_temporal_panels(CFG, GAUSS, GAUSS, GAUSS, quad,
                                                         (gt, gt), method=m)]),
-        "g2_w_spatial": lambda m: g2_w_spatial(win, gs, n_points=512, method=m).values,
-        "g3_w_spatial": lambda m: g3_w_spatial(win, (gs, gs), n_points=512, method=m).values,
-        "g3_ghz_spatial": lambda m: g3_ghz_spatial(win, gs, n_points=512, method=m).values,
+        "g2_w_spatial": lambda m: g2_w_spatial(win, gs, method=m).values,
+        "g3_w_spatial": lambda m: g3_w_spatial(win, (gs, gs), method=m).values,
+        "g3_ghz_spatial": lambda m: g3_ghz_spatial(win, gs, method=m).values,
     }
     worst = 0.0
     for name, evaluate in cases.items():

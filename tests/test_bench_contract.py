@@ -40,6 +40,15 @@ for i, entry in enumerate(REFERENCE["workloads"]["modes-large"]):
     MODES_ENTRIES.setdefault(entry["config"]["mode_grid"]["n_bins"], i)
 
 
+def _csv_count(kind):
+    """CSVs a command kind writes: figure1's three panels, one per curve or
+    surface, none for modes or a scalar correlator."""
+    if kind == "figure1":
+        return 3
+    scalar = kind in ("correlate/ghz12/time/2", "correlate/ghz12/space/2")
+    return 0 if kind == "modes" or scalar else 1
+
+
 def _run(workload, kind, tmp_path, tracer=None, entry=0):
     pool = REFERENCE["workloads"][workload]
     cfg = wl.write_config(pool, entry, tmp_path / "cfg")
@@ -57,6 +66,9 @@ def _run(workload, kind, tmp_path, tracer=None, entry=0):
     assert code == 0
     problems, nbytes = wl.check(kind, out, pool[entry]["expected"][kind])
     assert problems == []
+    if tracer is not None:
+        # every CSV goes through the one writer the benchmark times
+        assert tracer.calls["cli.write_surface_csv"] == _csv_count(kind)
     return nbytes
 
 
@@ -81,6 +93,10 @@ def test_traced_command_passes_engine_check(kind, tmp_path):
     _run("correlate-fine", kind, tmp_path, tracer)
     assert tracer.fft_quad_maxrel < 1e-9
     assert sum(tracer.calls[f"correlators.{name}"] for name in tracing.CORRELATORS) == 1
+
+
+def test_traced_figure1_writes_its_panels(tmp_path):
+    _run("figure1", "figure1", tmp_path, tracing.Tracer())
 
 
 def test_traced_modes_command_builds_each_state_once(tmp_path):

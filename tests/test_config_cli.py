@@ -445,6 +445,16 @@ def test_numerical_error_exit_code(tmp_path):
     assert rc == 3
 
 
+def test_non_finite_scalar_writes_no_json(tmp_path, fast_config, monkeypatch, capsys):
+    monkeypatch.setattr(triphoton.correlators, "g2_ghz_temporal", lambda *a, **k: float("nan"))
+    out = tmp_path / "n"
+    rc = main(["correlate", "--config", str(fast_config), "--out", str(out),
+               "--state", "ghz12", "--domain", "time", "--order", "2"])
+    assert rc == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not [p for p in out.glob("*.json") if "NaN" in p.read_text()]
+
+
 def test_aliased_width_error_message_is_bounded(tmp_path, capsys):
     # two quadrature points alias the default delay grid's curve into a
     # comb with 153 half-maximum crossings; the message names the count

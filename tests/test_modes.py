@@ -278,6 +278,16 @@ def test_tensor_validation():
             TriphotonTensor(bad, grid)
 
 
+def test_tensor_rejects_nan():
+    # a NaN norm must fail the norm check, not pass it: the tensor would
+    # otherwise report negativity 0, "separable"
+    grid = ModeGrid(2, -0.5, 1.0)
+    amps = np.zeros((2, 2), dtype=complex)
+    amps[0, 0] = np.nan   # partner bin 1 is on the grid
+    with pytest.raises(InvalidArgumentError, match="norm"):
+        TriphotonTensor(amps, grid)
+
+
 @pytest.mark.parametrize("span", [(-1.2, 1.2), (-0.4, 0.4), (-1.0, 1.0), (-1.3, 0.9)])
 def test_sector_path_matches_dense_oracle(span):
     for n in range(2, 17):

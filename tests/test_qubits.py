@@ -260,3 +260,13 @@ def test_randomized_density_matrices_stay_valid():
         reduced = partial_trace(rho, (0,))
         assert reduced.dims == (2,)
         assert np.trace(reduced.matrix) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_pure_state_rejects_nan():
+    with pytest.raises(InvalidArgumentError, match="norm"):
+        PureState(np.array([np.nan, 0.0]), (2,))
+
+
+def test_density_matrix_rejects_nan():
+    with pytest.raises(InvalidArgumentError):
+        DensityMatrix(np.full((2, 2), np.nan), (2,))

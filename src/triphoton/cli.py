@@ -83,12 +83,15 @@ def write_surface_csv(path: Path, axis_names: tuple[str, ...], value_name: str,
         keep = [xs >= 0.0 for xs in axes]
         vals = vals[np.ix_(*keep)]
         axes = [xs[k] for xs, k in zip(axes, keep)]
-    # each axis value is formatted once, not once per cell
-    texts = [[_fmt(x) for x in xs.tolist()] for xs in axes]
-    lines = [",".join((*axis_names, value_name))]
-    lines += [",".join(coords) + "," + _fmt(v)
-              for coords, v in zip(itertools.product(*texts), vals.ravel().tolist())]
-    _write_text(path, "\n".join(lines) + "\n")
+    # each axis value is formatted once and each row prefix built once; the
+    # body is then one %-format over (prefix, value) pairs
+    texts = [[_fmt(x) + "," for x in xs.tolist()] for xs in axes]
+    prefixes = ["".join(coords) for coords in itertools.product(*texts)]
+    cells = [None] * (2 * len(prefixes))
+    cells[0::2] = prefixes
+    cells[1::2] = vals.ravel().tolist()
+    body = ("%s%.12e\n" * len(prefixes)) % tuple(cells)
+    _write_text(path, ",".join((*axis_names, value_name)) + "\n" + body)
 
 
 def _write_json(path: Path, payload: dict[str, Any]) -> None:

@@ -15,11 +15,14 @@ Both engines sum the identical trapezoid-weighted samples, so they must
 agree to rounding error; a disagreement means one of them is wrong.
 
 The W-state temporal correlators share one stage: the joint spectral
-amplitude, assembled from 1-D tables, transformed once over photon 1. The
+amplitude, assembled from 1-D tables, transformed once over photon 1. On
+fft the amplitude is assembled straight into the zero-padded chirp-z
+buffer, weights and input chirp folded into photon 1's row factor. The
 surface transforms it over photon 3, the conditional slice takes a
 phase-weighted photon-3 sum, the pair correlation sums its modulus
 squared over photon 3; ``w_temporal_panels`` returns all three from one
 pass. The standalone pair correlation's fft path skips that stage: it
+builds the amplitude into a zero-padded FFT buffer the same way and
 transforms the photon-1 autocorrelation (Wiener-Khinchin), one row
 whatever the grid, with an absolute rounding floor of ~n eps of the peak.
 
@@ -199,18 +202,41 @@ def czt(x: np.ndarray, m: int, w: complex, a: complex) -> np.ndarray:
     """
     x = np.asarray(x)
     n = x.shape[-1]
+    L, chirp_in, spectrum, chirp_out = _czt_plan(n, m, w, a)
+    buf = np.zeros(x.shape[:-1] + (L,), dtype=complex)
+    np.multiply(x, chirp_in, out=buf[..., :n])
+    return _czt_finish(buf, spectrum, chirp_out)
+
+
+def _czt_plan(n: int, m: int, w: complex, a: complex
+              ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Bluestein set-up of ``czt``: the padded length L, the input chirp
+    a^-k w^(k^2/2) (k < n), the kernel spectrum and the output chirp
+    w^(k^2/2) (k < m). A caller that writes x times the input chirp into
+    ``buf[..., :n]`` of a zeroed (..., L) buffer finishes with ``_czt_finish``."""
     L = _fast_len(n + m - 1)
     k = np.arange(max(m, n))
     wk2 = w ** (k**2 / 2)
     kernel = np.zeros(L, dtype=complex)
     kernel[:m] = 1.0 / wk2[:m]
     kernel[L - n + 1:] = 1.0 / wk2[n - 1:0:-1]
-    buf = np.zeros(x.shape[:-1] + (L,), dtype=complex)
-    np.multiply(x, a ** -k[:n] * wk2[:n], out=buf[..., :n])
+    return L, a ** -k[:n] * wk2[:n], np.fft.fft(kernel), wk2[:m]
+
+
+def _czt_finish(buf: np.ndarray, spectrum: np.ndarray, chirp_out: np.ndarray) -> np.ndarray:
+    """The circular convolution with the kernel, in place, then the output
+    chirp on the first len(chirp_out) columns."""
     np.fft.fft(buf, axis=-1, out=buf)
-    buf *= np.fft.fft(kernel)
+    buf *= spectrum
     np.fft.ifft(buf, axis=-1, out=buf)
-    return buf[..., :m] * wk2[:m]
+    return buf[..., :len(chirp_out)] * chirp_out
+
+
+def _czt_factors(nu: np.ndarray, taus: np.ndarray) -> tuple[complex, complex, np.ndarray]:
+    """(w, a, phase) with sum_n c_n exp(+i nu_n tau_k) = czt(c, m, w, a)_k phase_k."""
+    w = np.exp(1j * (nu[1] - nu[0]) * (taus[1] - taus[0]))
+    a = np.exp(-1j * (nu[1] - nu[0]) * taus[0])
+    return w, a, np.exp(1j * nu[0] * taus)
 
 
 def _transform_czt(c: np.ndarray, nu: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -219,14 +245,8 @@ def _transform_czt(c: np.ndarray, nu: np.ndarray, taus: np.ndarray) -> np.ndarra
     Requires both grids uniform; the chirp-z factorization is exact for
     arbitrary start and step, no zero padding or resampling involved.
     """
-    dnu = nu[1] - nu[0]
-    tau0 = taus[0]
-    dtau = taus[1] - taus[0]
-    w = np.exp(1j * dnu * dtau)
-    a = np.exp(-1j * dnu * tau0)
-    out = czt(c, m=len(taus), w=w, a=a)
-    out = out * np.exp(1j * nu[0] * taus)
-    return out
+    w, a, phase = _czt_factors(nu, taus)
+    return czt(c, m=len(taus), w=w, a=a) * phase
 
 
 def _transform_direct(c: np.ndarray, nu: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -290,7 +310,7 @@ def _assemble(f2_diag: np.ndarray, rows: tuple, cols: tuple, out: np.ndarray | N
     (a, p), (b, q) = rows, cols
     half = p[:, None] + q[None, :]
     env = np.column_stack((np.sin(p), np.cos(p))) @ np.vstack((np.cos(q), np.sin(q)))
-    small = np.abs(half) < 0.1
+    small = (half > -0.1) & (half < 0.1)
     np.divide(env, half, out=env, where=~small)
     env[small] = np.sinc(half[small] / np.pi)
     env *= np.lib.stride_tricks.sliding_window_view(f2_diag, len(q))   # [i, j] -> [i + j]
@@ -303,12 +323,28 @@ def _w_photon1(cfg: PhaseMatchConfig, filters: tuple[FilterSpec, ...], quad: Qua
                grid: Grid1D, method: Method) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes, weights and the photon-1 transform every W temporal correlator
     reduces: inner[j, a] = sum_i w_i F(nu_i, nu_j) exp(+i nu_i tau12_a), F
-    taken without arm 3."""
+    taken without arm 3.
+
+    ``method="quad"`` builds w_i F(nu_i, nu_j) and applies the direct phase
+    matrix. ``method="fft"`` folds the weights and the chirp-z input chirp
+    into the photon-1 row factor of ``_assemble``, which writes the chirped
+    integrand, photon 1 on the contiguous axis, straight into the zero-padded
+    Bluestein buffer; the transform then finishes in place.
+    """
     quad.validate_for(cfg, filters)
+    _check_method(method)
     nu, w = quad.nodes_weights()
-    F = _w_integrand(cfg, filters[0], filters[1], None, nu)
-    F *= w[:, None]
-    return nu, w, _transform(F.T, nu, grid.points(), method)
+    if method == "quad":
+        F = _w_integrand(cfg, filters[0], filters[1], None, nu)
+        F *= w[:, None]
+        return nu, w, _transform_direct(F.T, nu, grid.points())
+    n = len(nu)
+    cz_w, cz_a, phase = _czt_factors(nu, grid.points())
+    L, chirp_in, spectrum, chirp_out = _czt_plan(n, grid.count, cz_w, cz_a)
+    f2_diag, (a, p), cols3 = _w_tables(cfg, filters[0], filters[1], None, nu)
+    buf = np.zeros((n, L), dtype=complex)
+    _assemble(f2_diag, cols3, (w * a * chirp_in, p), out=buf[:, :n])
+    return nu, w, _czt_finish(buf, spectrum, chirp_out) * phase
 
 
 def _w_pair(w: np.ndarray, inner: np.ndarray, grid: Grid1D) -> CorrelationSurface:

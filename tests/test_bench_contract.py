@@ -7,8 +7,10 @@ run one pool entry of every command kind both ways, so a change that
 breaks an import, a name, an output or the engine agreement the
 benchmark relies on fails here. The ``modes`` command also runs on the
 first pool entry of each bin count, because each count gives the
-conservation rule a different partner offset. Nothing under
-``perfbench/`` is edited.
+conservation rule a different partner offset, and ``figure1`` on the
+pool entries with the smallest and largest walk-off times, the ends of
+the range over which the chirp-z phases and the integrand's envelope
+move. Nothing under ``perfbench/`` is edited.
 """
 
 import importlib.util
@@ -38,6 +40,11 @@ CASES = [(workload, kind) for workload, pool in REFERENCE["workloads"].items()
 MODES_ENTRIES = {}
 for i, entry in enumerate(REFERENCE["workloads"]["modes-large"]):
     MODES_ENTRIES.setdefault(entry["config"]["mode_grid"]["n_bins"], i)
+# figure1 pool entries with the smallest and largest t12_ps and t32_ps
+FIGURE1_POOL = REFERENCE["workloads"]["figure1"]
+FIGURE1_ENTRIES = sorted({pick(range(len(FIGURE1_POOL)),
+                               key=lambda i: FIGURE1_POOL[i]["config"]["phase_match"][t])
+                          for pick in (min, max) for t in ("t12_ps", "t32_ps")})
 
 
 def _csv_count(kind):
@@ -85,6 +92,11 @@ def test_command_matches_reference(workload, kind, tmp_path):
 @pytest.mark.parametrize("n_bins", wl.MODES_BINS)
 def test_modes_matches_reference_at_every_bin_count(n_bins, tmp_path):
     _run("modes-large", "modes", tmp_path, entry=MODES_ENTRIES[n_bins])
+
+
+@pytest.mark.parametrize("entry", FIGURE1_ENTRIES)
+def test_figure1_matches_reference_across_walk_off(entry, tmp_path):
+    _run("figure1", "figure1", tmp_path, entry=entry)
 
 
 @pytest.mark.parametrize("kind", wl.CORRELATE_KINDS)

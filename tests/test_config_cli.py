@@ -243,11 +243,15 @@ def test_correlate_matches_figure1_surface(tmp_path, fast_config):
 
 def test_figure1_builds_the_integrand_once(tmp_path, fast_config, monkeypatch):
     # the three panels share one integrand and one photon-1 transform; the
-    # surface adds the only other chirp-z
-    integrands = count_calls(monkeypatch, "_w_integrand")
-    transforms = count_calls(monkeypatch, "czt")
+    # surface adds the only other chirp-z. The photon-1 integrand is built
+    # straight into its chirp-z buffer, so each transform is counted where
+    # every Bluestein convolution finishes.
+    tables = count_calls(monkeypatch, "_w_tables")
+    builds = count_calls(monkeypatch, "_assemble")
+    transforms = count_calls(monkeypatch, "_czt_finish")
     assert main(["figure1", "--config", str(fast_config), "--out", str(tmp_path / "f")]) == 0
-    assert len(integrands) == 1
+    assert len(tables) == 1
+    assert len(builds) == 1
     assert len(transforms) == 2
 
 

@@ -1,5 +1,7 @@
 """Correlator checks: engine equivalence, pinned shapes, widths, Parseval."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,8 +31,10 @@ from triphoton import (
     w_temporal_panels,
 )
 from triphoton import correlators
+from triphoton.config import parse_config
 from triphoton.correlators import (
     _ROUNDING_FLOOR,
+    _assemble,
     _clip_rounding,
     _fast_len,
     _transform_czt,
@@ -38,6 +42,7 @@ from triphoton.correlators import (
     _w_integrand,
     _w_pair,
     _w_photon1,
+    _w_tables,
     czt,
 )
 from triphoton.spectra import detuning_ghz, detuning_w, filter_eval, phi
@@ -179,6 +184,25 @@ def test_w_integrand_rectangular_f2_edge_is_one_value_per_anti_diagonal():
     assert np.max(hi[seen] - lo[seen]) < 1e-12
 
 
+def test_assemble_into_a_buffer_allocates_two_float_temporaries():
+    # the fused photon-1 route assembles into the (n, L) chirp-z buffer;
+    # beyond it only the real arguments and envelope (n^2 floats each) and
+    # boolean masks may be allocated
+    n = len(NU_1024)
+    f2_diag, rows, cols = _w_tables(CFG, GAUSS, GAUSS, None, NU_1024)
+    buf = np.zeros((n, 1200), dtype=complex)
+    tracemalloc.start()
+    try:
+        _assemble(f2_diag, cols, rows, out=buf[:, :n])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * n * n * 8
+    np.testing.assert_allclose(buf[:, :n], _w_integrand(CFG, GAUSS, GAUSS, None, NU_1024).T,
+                               rtol=0, atol=1e-14)
+    assert not buf[:, n:].any()
+
+
 @pytest.mark.parametrize("method", ["fft", "quad"])
 def test_w_temporal_panels_equal_standalone_correlators(method):
     g12 = Grid1D(0.0, 0.5, 41)
@@ -209,7 +233,9 @@ QUAD_1024 = QuadratureSpec(1024, 3.0)
 OFFSET = FilterSpec("gaussian", 0.3, center_offset=0.2)
 
 
-@pytest.mark.parametrize("cfg, f1, f2, quad, grid", [
+# W grid cases: both W photon-1 routes and the pair autocorrelation route
+# run on each
+W_GRID_CASES = [
     (CFG, GAUSS, GAUSS, QUAD, Grid1D(4.0, 3.5, 2)),                           # m = 2
     (CFG, GAUSS, GAUSS, QUAD, Grid1D(0.0, 0.5, 41)),                          # m = 41
     (CFG, GAUSS, GAUSS, QUAD_1024, Grid1D(0.0, 32.0 / 2560, 2561)),           # m = 2561
@@ -222,7 +248,10 @@ OFFSET = FilterSpec("gaussian", 0.3, center_offset=0.2)
      FilterSpec("gaussian", 0.35, center_offset=-0.15), QUAD,                 # t12 != t32
      Grid1D(-5.0, 0.25, 121)),
     (PhaseMatchConfig(-20.0, 17.0), GAUSS, GAUSS, QUAD, Grid1D(-5.0, 0.25, 121)),
-])
+]
+
+
+@pytest.mark.parametrize("cfg, f1, f2, quad, grid", W_GRID_CASES)
 def test_g2_w_autocorrelation_matches_direct_routes(cfg, f1, f2, quad, grid):
     fast = g2_w_temporal(cfg, f1, f2, quad, grid)
     direct = g2_w_temporal(cfg, f1, f2, quad, grid, method="quad")
@@ -233,6 +262,25 @@ def test_g2_w_autocorrelation_matches_direct_routes(cfg, f1, f2, quad, grid):
     assert fast.axes == direct.axes
     np.testing.assert_allclose(fast.values, direct.values, rtol=0, atol=1e-12)
     np.testing.assert_allclose(fast.values, chirp.values, rtol=0, atol=1e-11)
+
+
+DEFAULT = parse_config("{}")
+
+
+@pytest.mark.parametrize("cfg, f1, f2, quad, grid", W_GRID_CASES + [
+    (DEFAULT.phase_match, *DEFAULT.filters[:2], DEFAULT.quadrature, DEFAULT.grid("tau12_ps")),
+])
+def test_w_photon1_chirp_z_buffer_matches_direct_sum(cfg, f1, f2, quad, grid):
+    # the fft route folds the weights and the input chirp into the photon-1
+    # row factor and builds straight into the Bluestein buffer; the quad
+    # route applies the direct phase matrix to w_i F. The distance relative
+    # to the peak is 1.2e-12 at most (negative start) and 8.9e-13 at the
+    # default config; at m = 2561, where the chirp phases are largest, 1.02e-11.
+    _, _, fast = _w_photon1(cfg, (f1, f2), quad, grid, "fft")
+    _, _, direct = _w_photon1(cfg, (f1, f2), quad, grid, "quad")
+    assert fast.shape == direct.shape == (quad.n_points, grid.count)
+    bound = 1.2e-11 if grid.count > 1000 else 1.5e-12
+    assert np.abs(fast - direct).max() <= bound * np.abs(direct).max()
 
 
 def test_g2_w_fft_transforms_one_row_of_lags(monkeypatch):

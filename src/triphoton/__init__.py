@@ -68,7 +68,6 @@ from .spectra import (
     PhaseMatchConfig,
     TransverseWindow,
     detuning_ghz,
-    detuning_w,
     filter_eval,
     phi,
     window_eval,

@@ -135,8 +135,9 @@ def cmd_figure1(cfg: ExperimentConfig, out_dir: Path, physical_mask: bool = True
     g12 = cfg.grid("tau12_ps")
     g32 = cfg.grid("tau32_ps")
 
+    method = corr.w_temporal_method(f1, f2, f3)
     surface, conditional, pair = corr.w_temporal_panels(cfg.phase_match, f1, f2, f3,
-                                                        cfg.quadrature, (g12, g32))
+                                                        cfg.quadrature, (g12, g32), method=method)
 
     paths = {
         "a": out_dir / "fig1a_g3_w_temporal.csv",
@@ -151,6 +152,7 @@ def cmd_figure1(cfg: ExperimentConfig, out_dir: Path, physical_mask: bool = True
     fwhm_c = corr.fwhm(pair)
     metrics = {
         "conditional_line_tau32_ps": f"-tau12 + {abs(cfg.phase_match.t12)}",
+        "engine": method,
         "fwhm_conditional_ps": fwhm_b,
         "fwhm_g2_ps": fwhm_c,
         "peak_conditional_tau12_ps": _peak_location(conditional)[0],
@@ -164,40 +166,42 @@ def cmd_figure1(cfg: ExperimentConfig, out_dir: Path, physical_mask: bool = True
     return summary
 
 
-# (state, domain, order) -> (evaluate(cfg), layout). The layout is either the
-# axis names of the CSV (one for a curve, two for a surface) or, for a
-# scalar, the constancy flag written beside its value. Each evaluate looks
-# its correlator up in ``corr`` when called, so a wrapped module attribute
-# is the one that runs.
+# (state, domain, order) -> (evaluate(cfg, method), layout, reads). The
+# layout is either the axis names of the CSV (one for a curve, two for a
+# surface) or, for a scalar, the constancy flag written beside its value.
+# ``reads`` is the number of filters a W temporal correlator reads, from
+# which its engine is picked, and 0 for the correlators with one engine.
+# Each evaluate looks its correlator up in ``corr`` when called, so a
+# wrapped module attribute is the one that runs.
 _CORRELATIONS = {
     ("w111", "time", 2): (
-        lambda c: corr.g2_w_temporal(c.phase_match, c.filters[0], c.filters[1],
-                                     c.quadrature, c.grid("tau12_ps")),
-        ("tau12_ps",)),
+        lambda c, m: corr.g2_w_temporal(c.phase_match, c.filters[0], c.filters[1],
+                                        c.quadrature, c.grid("tau12_ps"), method=m),
+        ("tau12_ps",), 2),
     ("w111", "time", 3): (
-        lambda c: corr.g3_w_temporal(c.phase_match, *_filters3(c), c.quadrature,
-                                     (c.grid("tau12_ps"), c.grid("tau32_ps"))),
-        ("tau12_ps", "tau32_ps")),
+        lambda c, m: corr.g3_w_temporal(c.phase_match, *_filters3(c), c.quadrature,
+                                        (c.grid("tau12_ps"), c.grid("tau32_ps")), method=m),
+        ("tau12_ps", "tau32_ps"), 3),
     ("w111", "space", 2): (
-        lambda c: corr.g2_w_spatial(c.transverse, c.grid("rho12_um")),
-        ("rho12_um",)),
+        lambda c, m: corr.g2_w_spatial(c.transverse, c.grid("rho12_um")),
+        ("rho12_um",), 0),
     ("w111", "space", 3): (
-        lambda c: corr.g3_w_spatial(c.transverse, (c.grid("rho12_um"), c.grid("rho32_um"))),
-        ("rho12_um", "rho32_um")),
+        lambda c, m: corr.g3_w_spatial(c.transverse, (c.grid("rho12_um"), c.grid("rho32_um"))),
+        ("rho12_um", "rho32_um"), 0),
     ("ghz12", "time", 2): (
-        lambda c: corr.g2_ghz_temporal(c.phase_match, c.filters[0], c.filters[1],
-                                       c.quadrature),
-        "delay_independent"),
+        lambda c, m: corr.g2_ghz_temporal(c.phase_match, c.filters[0], c.filters[1],
+                                          c.quadrature),
+        "delay_independent", 0),
     ("ghz12", "time", 3): (
-        lambda c: corr.g3_ghz_temporal(c.phase_match, c.filters[0], c.filters[1],
-                                       c.quadrature, c.grid("tau12_ps")),
-        ("tau12_ps",)),
+        lambda c, m: corr.g3_ghz_temporal(c.phase_match, c.filters[0], c.filters[1],
+                                          c.quadrature, c.grid("tau12_ps")),
+        ("tau12_ps",), 0),
     ("ghz12", "space", 2): (
-        lambda c: corr.g2_ghz_spatial(c.transverse),
-        "displacement_independent"),
+        lambda c, m: corr.g2_ghz_spatial(c.transverse),
+        "displacement_independent", 0),
     ("ghz12", "space", 3): (
-        lambda c: corr.g3_ghz_spatial(c.transverse, c.grid("rho12_um")),
-        ("rho12_um",)),
+        lambda c, m: corr.g3_ghz_spatial(c.transverse, c.grid("rho12_um")),
+        ("rho12_um",), 0),
 }
 
 
@@ -206,17 +210,19 @@ def cmd_correlate(cfg: ExperimentConfig, out_dir: Path, state: str, domain: str,
     """Evaluate one correlator and serialize it.
 
     A scalar goes to JSON with its constancy flag, a curve or surface to
-    CSV; ``physical_mask`` drops negative delays, never displacements.
+    CSV; ``physical_mask`` drops negative delays, never displacements. A
+    W temporal summary also records the engine that ran.
     """
     started = time.perf_counter()
     try:
-        evaluate, layout = _CORRELATIONS[(state, domain, order)]
+        evaluate, layout, reads = _CORRELATIONS[(state, domain, order)]
     except KeyError:
         raise UsageError(
             f"unsupported combination {(state, domain, order)}; valid: "
             + ", ".join(f"{s}/{d}/{o}" for s, d, o in _CORRELATIONS)) from None
     stem = f"correlate_{state}_{domain}_g{order}"
-    result = evaluate(cfg)
+    method = corr.w_temporal_method(*cfg.filters[:reads]) if reads else None
+    result = evaluate(cfg, method)
     if isinstance(layout, str):
         path = out_dir / f"{stem}.json"
         metrics = {"value": result, layout: True}
@@ -227,6 +233,8 @@ def cmd_correlate(cfg: ExperimentConfig, out_dir: Path, state: str, domain: str,
         metrics = {"peak_location": _peak_location(result)}
         if len(layout) == 1:
             metrics["fwhm"] = corr.fwhm(result)
+        if method is not None:
+            metrics["engine"] = method
 
     summary = _summary("correlate", cfg, [str(path)], metrics, started)
     _write_json(out_dir / f"{stem}_summary.json", summary)
@@ -336,6 +344,10 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, param: str, values: Sequence
     if not values:
         raise UsageError("sweep needs at least one value")
     base = config_to_dict(cfg)
+    # a sweep changes no filter shape, so each correlator keeps one engine
+    f1, f2, f3 = _filters3(cfg)
+    engine = {"g2_w_temporal": corr.w_temporal_method(f1, f2),
+              "g3_w_conditional": corr.w_temporal_method(f1, f2, f3)}
     header = ("param,value,g2_w_fwhm_ps,g3_w_conditional_fwhm_ps,"
               "g3_ghz_spatial_fwhm_um,w_negativity,ghz_negativity")
     lines = [header]
@@ -349,9 +361,11 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, param: str, values: Sequence
         inputs = (row_cfg.phase_match, row_cfg.filters, row_cfg.quadrature,
                   row_cfg.transverse, g12, rho12)
         if inputs != widths_inputs:
-            pair = corr.g2_w_temporal(row_cfg.phase_match, f1, f2, row_cfg.quadrature, g12)
+            pair = corr.g2_w_temporal(row_cfg.phase_match, f1, f2, row_cfg.quadrature, g12,
+                                      method=engine["g2_w_temporal"])
             conditional = corr.g3_w_conditional(row_cfg.phase_match, f1, f2, f3,
-                                                row_cfg.quadrature, g12)
+                                                row_cfg.quadrature, g12,
+                                                method=engine["g3_w_conditional"])
             spatial = corr.g3_ghz_spatial(row_cfg.transverse, rho12)
             widths = [_fmt(corr.fwhm(pair)), _fmt(corr.fwhm(conditional)),
                       _fmt(corr.fwhm(spatial))]
@@ -365,7 +379,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, param: str, values: Sequence
     path = out_dir / f"sweep_{param}.csv"
     _write_text(path, "\n".join(lines) + "\n")
     summary = _summary("sweep", cfg, [str(path)],
-                       {"param": param, "rows": len(values)}, started)
+                       {"engine": engine, "param": param, "rows": len(values)}, started)
     _write_json(out_dir / f"sweep_{param}_summary.json", summary)
     return summary
 

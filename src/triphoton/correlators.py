@@ -14,6 +14,15 @@ grids by two interchangeable engines:
 Both engines sum the identical trapezoid-weighted samples, so they must
 agree to rounding error; a disagreement means one of them is wrong.
 
+The W temporal correlators have a third engine, ``method="continuum"``
+(``continuum.py``), for Gaussian filters only. It integrates the
+frequencies exactly and the longitudinal envelope's parameter by
+Gauss-Legendre, so it samples no frequency grid: its outputs do not
+depend on the quadrature settings, which it reads only to reject the
+same spans as the trapezoid engines. ``w_temporal_method`` picks it when
+every filter a correlator reads is Gaussian and ``fft`` otherwise; the
+trapezoid engines stay the rectangular-filter engines and its oracle.
+
 The W-state temporal correlators share one stage: the joint spectral
 amplitude, assembled from 1-D tables, transformed once over photon 1. On
 fft the amplitude is assembled straight into the zero-padded chirp-z
@@ -41,6 +50,7 @@ from typing import Literal
 
 import numpy as np
 
+from . import continuum
 from .errors import (
     AmbiguousWidthError,
     ConfigurationError,
@@ -60,6 +70,7 @@ from .spectra import (
 )
 
 Method = Literal["fft", "quad"]
+WMethod = Literal["fft", "quad", "continuum"]
 
 
 @dataclass(frozen=True)
@@ -176,6 +187,13 @@ class CorrelationSurface:
 def _check_method(method: str) -> None:
     if method not in ("fft", "quad"):
         raise InvalidArgumentError(f"method must be 'fft' or 'quad', got {method!r}")
+
+
+def w_temporal_method(*filters: FilterSpec) -> WMethod:
+    """The W temporal engine for the filters a correlator reads: the
+    closed-form ``continuum`` when all are Gaussian, the chirp-z ``fft``
+    otherwise."""
+    return "continuum" if all(f.shape is FilterShape.GAUSSIAN for f in filters) else "fft"
 
 
 def _fast_len(n: int) -> int:
@@ -364,7 +382,7 @@ def _w_conditional(cfg: PhaseMatchConfig, nu: np.ndarray, c3: np.ndarray, inner:
 
 def g2_w_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
                   quad: QuadratureSpec, grid: Grid1D, *,
-                  method: Method = "fft") -> CorrelationSurface:
+                  method: WMethod = "fft") -> CorrelationSurface:
     """Two-photon temporal correlation of the three-mode state.
 
     The third photon is undetected: its frequency is integrated
@@ -381,7 +399,13 @@ def g2_w_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
     Hermitian) gives the curve, so the grid adds one row of work, not n.
     Its error is an absolute floor of ~n eps of the peak, so a grid that
     sees only the curve's tail is rejected (``DegenerateInputError``).
+    ``method="continuum"`` (Gaussian filters only) sums the closed-form
+    Gaussian integrals over pairs of envelope nodes (``continuum.w_pair``).
     """
+    if method == "continuum":
+        quad.validate_for(cfg, (f1, f2))
+        vals, terms = continuum.w_pair(cfg, f1, f2, grid.points())
+        return normalize_to_peak(CorrelationSurface((grid,), _clip_rounding(vals, terms)))
     if method == "quad":
         nu, w, inner = _w_photon1(cfg, (f1, f2), quad, grid, method)
         return _w_pair(w, inner, grid)
@@ -431,39 +455,52 @@ def _clip_rounding(vals: np.ndarray, n: int) -> np.ndarray:
 
 def g3_w_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec, f3: FilterSpec,
                   quad: QuadratureSpec, grids: tuple[Grid1D, Grid1D], *,
-                  method: Method = "fft") -> CorrelationSurface:
+                  method: WMethod = "fft") -> CorrelationSurface:
     """Three-fold temporal correlation surface of the three-mode state.
 
     Values are indexed [a, b] with a on the photon-1 delay axis and b on
     the photon-3 delay axis.
     """
+    if method == "continuum":
+        quad.validate_for(cfg, (f1, f2, f3))
+        return _intensity(grids, continuum.w_surface(cfg, (f1, f2, f3), grids[0].points(),
+                                                     grids[1].points()))
     nu, w, inner = _w_photon1(cfg, (f1, f2, f3), quad, grids[0], method)
     return _w_surface(nu, w * filter_eval(f3, nu), inner, grids, method)
 
 
 def g3_w_conditional(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec, f3: FilterSpec,
                      quad: QuadratureSpec, grid: Grid1D, *,
-                     method: Method = "fft") -> CorrelationSurface:
+                     method: WMethod = "fft") -> CorrelationSurface:
     """Three-fold correlation along the line tau32 = -tau12 + |t12|.
 
     Each point is a fresh evaluation of the double integral on the line;
     nothing is interpolated from a 2-D surface, so width measurements on
     this slice carry no resampling error.
     """
+    if method == "continuum":
+        quad.validate_for(cfg, (f1, f2, f3))
+        tau12 = grid.points()
+        return _intensity((grid,), continuum.w_line(cfg, (f1, f2, f3), tau12,
+                                                    abs(cfg.t12) - tau12))
     nu, w, inner = _w_photon1(cfg, (f1, f2, f3), quad, grid, method)
     return _w_conditional(cfg, nu, w * filter_eval(f3, nu), inner, grid)
 
 
 def w_temporal_panels(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec, f3: FilterSpec,
                       quad: QuadratureSpec, grids: tuple[Grid1D, Grid1D], *,
-                      method: Method = "fft") -> tuple[CorrelationSurface, ...]:
-    """The three W temporal correlators of Fig. 1 from one integrand and one
-    photon-1 transform: ``(surface, conditional, pair)``, the surface over
-    ``grids`` and both curves on ``grids[0]``. The surface and the slice
-    equal what ``g3_w_temporal`` and ``g3_w_conditional`` return; the pair
-    equals ``g2_w_temporal`` on ``quad`` and agrees with its fft route to
-    rounding.
+                      method: WMethod = "fft") -> tuple[CorrelationSurface, ...]:
+    """The three W temporal correlators of Fig. 1: ``(surface, conditional,
+    pair)``, the surface over ``grids`` and both curves on ``grids[0]``.
+    On ``fft`` and ``quad`` they come from one integrand and one photon-1
+    transform. The surface and the slice equal what ``g3_w_temporal`` and
+    ``g3_w_conditional`` return; the pair equals ``g2_w_temporal`` on
+    ``quad`` and ``continuum``, and agrees with its fft route to rounding.
     """
+    if method == "continuum":
+        return (g3_w_temporal(cfg, f1, f2, f3, quad, grids, method=method),
+                g3_w_conditional(cfg, f1, f2, f3, quad, grids[0], method=method),
+                g2_w_temporal(cfg, f1, f2, quad, grids[0], method=method))
     nu, w, inner = _w_photon1(cfg, (f1, f2, f3), quad, grids[0], method)
     c3 = w * filter_eval(f3, nu)
     return (_w_surface(nu, c3, inner, grids, method),

@@ -104,22 +104,6 @@ def phi(x):
     return out
 
 
-def detuning_w(nu1, nu3, cfg: PhaseMatchConfig):
-    """Detuning argument for the three-mode state.
-
-    The undetected photon's frequency is fixed by energy conservation, so
-    only the detunings of photons 1 and 3 appear.
-    """
-    nu1 = np.asarray(nu1, dtype=float)
-    nu3 = np.asarray(nu3, dtype=float)
-    if not (np.all(np.isfinite(nu1)) and np.all(np.isfinite(nu3))):
-        raise InvalidArgumentError("detuning arguments must be finite")
-    out = -(nu1 * cfg.t12) - (nu3 * cfg.t32)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def detuning_ghz(nu1, cfg: PhaseMatchConfig):
     """Detuning argument when a degenerate pair shares the detuning nu1."""
     nu1 = np.asarray(nu1, dtype=float)

@@ -183,12 +183,18 @@ def test_correlate_combinations(tmp_path, fast_config, state, domain, order, suf
         flag = "delay_independent" if domain == "time" else "displacement_independent"
         assert metrics == json.loads((out / f"{stem}.json").read_text())
         assert set(metrics) == {"value", flag} and metrics[flag] is True
-    elif order == 3 and state == "w111":
+        return
+    # a W temporal correlator records its engine: Gaussian filters take the
+    # closed form
+    engine = {"engine"} if (state, domain) == ("w111", "time") else set()
+    if engine:
+        assert metrics["engine"] == "continuum"
+    if order == 3 and state == "w111":
         # two-axis surface: a peak location per axis, no width
-        assert set(metrics) == {"peak_location"} and len(metrics["peak_location"]) == 2
+        assert set(metrics) == {"peak_location"} | engine and len(metrics["peak_location"]) == 2
     else:
-        assert set(metrics) == {"fwhm", "peak_location"} and len(metrics["peak_location"]) == 1
-        assert metrics["fwhm"] > 0.0
+        assert set(metrics) == {"fwhm", "peak_location"} | engine
+        assert len(metrics["peak_location"]) == 1 and metrics["fwhm"] > 0.0
 
 
 def test_correlate_physical_mask_drops_negative_delays_only(tmp_path):
@@ -241,18 +247,40 @@ def test_correlate_matches_figure1_surface(tmp_path, fast_config):
     assert a == b
 
 
-def test_figure1_builds_the_integrand_once(tmp_path, fast_config, monkeypatch):
-    # the three panels share one integrand and one photon-1 transform; the
-    # surface adds the only other chirp-z. The photon-1 integrand is built
-    # straight into its chirp-z buffer, so each transform is counted where
-    # every Bluestein convolution finishes.
+def _rectangular(doc, sigma):
+    """``doc`` with all three filters rectangular, half-width ``sigma``."""
+    doc = json.loads(json.dumps(doc))
+    doc["filters"] = [{"shape": "rectangular", "sigma_rad_per_ps": sigma}] * 3
+    return doc
+
+
+def test_figure1_builds_the_integrand_once(tmp_path, monkeypatch):
+    # rectangular filters take the trapezoid route: the three panels share
+    # one integrand and one photon-1 transform; the surface adds the only
+    # other chirp-z. The photon-1 integrand is built straight into its
+    # chirp-z buffer, so each transform is counted where every Bluestein
+    # convolution finishes.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_rectangular(FAST_CONFIG, 0.5)), encoding="utf-8")
     tables = count_calls(monkeypatch, "_w_tables")
     builds = count_calls(monkeypatch, "_assemble")
     transforms = count_calls(monkeypatch, "_czt_finish")
-    assert main(["figure1", "--config", str(fast_config), "--out", str(tmp_path / "f")]) == 0
+    assert main(["figure1", "--config", str(path), "--out", str(tmp_path / "f")]) == 0
     assert len(tables) == 1
     assert len(builds) == 1
     assert len(transforms) == 2
+    summary = json.loads((tmp_path / "f" / "figure1_summary.json").read_text())
+    assert summary["metrics"]["engine"] == "fft"
+
+
+def test_figure1_gaussian_filters_build_no_integrand(tmp_path, fast_config, monkeypatch):
+    # all-Gaussian filters take the closed form: no integrand, no chirp-z
+    tables = count_calls(monkeypatch, "_w_tables")
+    transforms = count_calls(monkeypatch, "_czt_finish")
+    assert main(["figure1", "--config", str(fast_config), "--out", str(tmp_path / "f")]) == 0
+    assert tables == [] and transforms == []
+    summary = json.loads((tmp_path / "f" / "figure1_summary.json").read_text())
+    assert summary["metrics"]["engine"] == "continuum"
 
 
 @pytest.mark.parametrize("mask", ["physical-mask", "no-physical-mask"])
@@ -267,7 +295,8 @@ def test_surface_csv_matches_per_cell_formatting(tmp_path, mask):
                  "--state", "w111", "--domain", "time", "--order", "3", f"--{mask}"]) == 0
     cfg = parse_config(json.dumps(doc))
     grids = (cfg.grid("tau12_ps"), cfg.grid("tau32_ps"))
-    surface = triphoton.g3_w_temporal(cfg.phase_match, *cfg.filters, cfg.quadrature, grids)
+    surface = triphoton.g3_w_temporal(cfg.phase_match, *cfg.filters, cfg.quadrature, grids,
+                                      method="continuum")
     xs, ys = (g.points() for g in grids)
     keep = mask == "physical-mask"
     lines = ["tau12_ps,tau32_ps,g3"]
@@ -328,6 +357,9 @@ def test_sweep_filter_sigma_narrows_conditional(tmp_path, fast_config, monkeypat
     assert widths[0] > widths[1] > widths[2]
     # width ordering survives at every filter setting
     assert all(c < g for c, g in zip(widths, pair_widths))
+    summary = json.loads((out / "sweep_filter_sigma_summary.json").read_text())
+    assert summary["metrics"]["engine"] == {"g2_w_temporal": "continuum",
+                                            "g3_w_conditional": "continuum"}
 
 
 def test_sweep_alpha_max_narrows_spatial(tmp_path, fast_config):
@@ -462,9 +494,12 @@ def test_non_finite_scalar_writes_no_json(tmp_path, fast_config, monkeypatch, ca
 def test_aliased_width_error_message_is_bounded(tmp_path, capsys):
     # two quadrature points alias the default delay grid's curve into a
     # comb with 153 half-maximum crossings; the message names the count
-    # and at most six of them
+    # and at most six of them. Gaussian filters take the closed form, which
+    # does not alias, so the filters here are rectangular and pass all
+    # three photons at both nodes.
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"quadrature": {"n_points": 2}}), encoding="utf-8")
+    path.write_text(json.dumps(_rectangular({"quadrature": {"n_points": 2}}, 6.0)),
+                    encoding="utf-8")
     rc = main(["figure1", "--config", str(path), "--out", str(tmp_path / "x")])
     assert rc == 3
     err = capsys.readouterr().err

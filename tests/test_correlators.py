@@ -30,7 +30,7 @@ from triphoton import (
     normalize_to_peak,
     w_temporal_panels,
 )
-from triphoton import correlators
+from triphoton import continuum, correlators
 from triphoton.config import parse_config
 from triphoton.correlators import (
     _ROUNDING_FLOOR,
@@ -44,8 +44,11 @@ from triphoton.correlators import (
     _w_photon1,
     _w_tables,
     czt,
+    w_temporal_method,
 )
-from triphoton.spectra import detuning_ghz, detuning_w, filter_eval, phi
+from triphoton.spectra import detuning_ghz, filter_eval, phi
+
+from oracle import detuning_w, w_integrand, w_surface_trapezoid
 
 CFG = PhaseMatchConfig(-20.0, -20.0)
 GAUSS = FilterSpec("gaussian", 0.4)
@@ -131,19 +134,6 @@ def test_fast_len_is_smallest_5_smooth_length():
         assert _fast_len(n) == expected, n
 
 
-def _w_integrand_elementwise(cfg, f1, f2, f3, nu):
-    """Oracle: every factor of the joint spectral amplitude evaluated on
-    the full (nu1, nu3) grid, photon 2 at -(nu1 + nu3)."""
-    nu1 = nu[:, None]
-    nu3 = nu[None, :]
-    F = (filter_eval(f1, nu)[:, None]
-         * filter_eval(f2, -nu1 - nu3)
-         * phi(detuning_w(nu1, nu3, cfg)))
-    if f3 is not None:
-        F = F * filter_eval(f3, nu)[None, :]
-    return F
-
-
 NU_1024 = QuadratureSpec(1024, 3.0).nodes_weights()[0]
 
 
@@ -160,7 +150,7 @@ NU_1024 = QuadratureSpec(1024, 3.0).nodes_weights()[0]
 ])
 def test_w_integrand_matches_elementwise_oracle(cfg, f2, f3, nu):
     np.testing.assert_allclose(_w_integrand(cfg, GAUSS, f2, f3, nu),
-                               _w_integrand_elementwise(cfg, GAUSS, f2, f3, nu),
+                               w_integrand(cfg, GAUSS, f2, f3, nu),
                                rtol=0, atol=1e-14)
 
 
@@ -203,7 +193,7 @@ def test_assemble_into_a_buffer_allocates_two_float_temporaries():
     assert not buf[:, n:].any()
 
 
-@pytest.mark.parametrize("method", ["fft", "quad"])
+@pytest.mark.parametrize("method", ["fft", "quad", "continuum"])
 def test_w_temporal_panels_equal_standalone_correlators(method):
     g12 = Grid1D(0.0, 0.5, 41)
     g32 = Grid1D(-2.0, 0.75, 23)
@@ -217,7 +207,7 @@ def test_w_temporal_panels_equal_standalone_correlators(method):
         assert panel.axes == reference.axes
     np.testing.assert_array_equal(surface.values, alone[0].values)
     np.testing.assert_array_equal(conditional.values, alone[1].values)
-    if method == "quad":
+    if method != "fft":
         np.testing.assert_array_equal(pair.values, alone[2].values)
     else:
         # the standalone fft pair takes the autocorrelation route, the panel
@@ -281,6 +271,130 @@ def test_w_photon1_chirp_z_buffer_matches_direct_sum(cfg, f1, f2, quad, grid):
     assert fast.shape == direct.shape == (quad.n_points, grid.count)
     bound = 1.2e-11 if grid.count > 1000 else 1.5e-12
     assert np.abs(fast - direct).max() <= bound * np.abs(direct).max()
+
+
+# Continuum cases: (cfg, filters, tau12 grid, tau32 grid). The oracle is the
+# trapezoid at +-6 rad/ps, 15 sigma of the 0.4 rad/ps filters, where its
+# truncation is far below rounding; the distances read are 4.6e-14 at
+# |t| = 200 ps and 1.7e-14 elsewhere.
+WIDE = QuadratureSpec(1024, 6.0)
+CONTINUUM_CASES = {
+    "equal": (CFG, (GAUSS, GAUSS, GAUSS), Grid1D(0.0, 0.5, 81), Grid1D(0.0, 0.5, 81)),
+    "unequal_sigma": (CFG, (FilterSpec("gaussian", 0.3), FilterSpec("gaussian", 0.5),
+                            FilterSpec("gaussian", 0.35)),
+                      Grid1D(0.0, 0.5, 81), Grid1D(0.0, 0.5, 81)),
+    "offsets": (PhaseMatchConfig(-21.3, -18.7),
+                (FilterSpec("gaussian", 0.3, center_offset=0.2),
+                 FilterSpec("gaussian", 0.5, center_offset=-0.3),
+                 FilterSpec("gaussian", 0.35, center_offset=0.25)),
+                Grid1D(0.0, 0.5, 81), Grid1D(0.0, 0.5, 81)),
+    "positive_t32": (PhaseMatchConfig(-20.0, 17.0), (GAUSS, GAUSS, GAUSS),
+                     Grid1D(-5.0, 0.5, 81), Grid1D(-25.0, 0.5, 81)),
+    "negative_start_odd_counts": (CFG, (GAUSS, GAUSS, GAUSS),
+                                  Grid1D(-7.5, 0.5, 41), Grid1D(-5.0, 0.75, 27)),
+    "walk_off_200ps": (PhaseMatchConfig(-200.0, -200.0), (GAUSS, GAUSS, GAUSS),
+                       Grid1D(-20.0, 2.0, 141), Grid1D(-20.0, 2.0, 141)),
+}
+
+
+@pytest.mark.parametrize("case", CONTINUUM_CASES)
+def test_continuum_matches_quad_at_a_wide_span(case):
+    cfg, (f1, f2, f3), g12, g32 = CONTINUUM_CASES[case]
+    fast = w_temporal_panels(cfg, f1, f2, f3, WIDE, (g12, g32), method="continuum")
+    direct = w_temporal_panels(cfg, f1, f2, f3, WIDE, (g12, g32), method="quad")
+    for got, ref in zip(fast, direct):
+        assert got.axes == ref.axes
+        assert np.all(np.isfinite(got.values))
+        np.testing.assert_allclose(got.values, ref.values, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("case", ["offsets", "walk_off_200ps"])
+def test_continuum_surface_matches_direct_trapezoid(case):
+    # the oracle builds every factor of the integrand elementwise and sums
+    # it with explicit phase matrices: no 1-D tables, no chirp-z
+    cfg, (f1, f2, f3), g12, g32 = CONTINUUM_CASES[case]
+    fast = g3_w_temporal(cfg, f1, f2, f3, WIDE, (g12, g32), method="continuum")
+    oracle = w_surface_trapezoid(cfg, f1, f2, f3, WIDE, (g12, g32))
+    np.testing.assert_allclose(fast.values, oracle.values, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("case", CONTINUUM_CASES)
+def test_continuum_node_count_is_converged(case, monkeypatch):
+    # twice the derived number of Gauss-Legendre nodes moves nothing by
+    # more than 1e-13 of the peak
+    cfg, (f1, f2, f3), g12, g32 = CONTINUUM_CASES[case]
+    derived = w_temporal_panels(cfg, f1, f2, f3, WIDE, (g12, g32), method="continuum")
+    order = continuum._order
+    monkeypatch.setattr(continuum, "_order", lambda *args: 2 * order(*args))
+    doubled = w_temporal_panels(cfg, f1, f2, f3, WIDE, (g12, g32), method="continuum")
+    for got, ref in zip(doubled, derived):
+        np.testing.assert_allclose(got.values, ref.values, rtol=0, atol=1e-13)
+
+
+def test_continuum_pair_zeroes_only_rounding_below_zero(monkeypatch):
+    # far-off filter centres give the node pairs phases gamma (s - s') that
+    # cancel on the curve's flanks, where the true curve is ~2e-16 of its
+    # peak: rounding leaves values down to -5e-14 of the peak there, which
+    # read 0, and the curve still matches the trapezoid
+    cfg = PhaseMatchConfig(-103.0, -13.0)
+    f1 = FilterSpec("gaussian", 0.21, center_offset=1.5)
+    f2 = FilterSpec("gaussian", 0.36, center_offset=0.7)
+    quad = QuadratureSpec(1536, 4.5)
+    grid = Grid1D(-20.0, 143.0 / 300, 301)
+    lows = []
+    real = correlators._clip_rounding
+    monkeypatch.setattr(correlators, "_clip_rounding",
+                        lambda vals, n: lows.append(vals.min() / vals.max()) or real(vals, n))
+    fast = g2_w_temporal(cfg, f1, f2, quad, grid, method="continuum")
+    direct = g2_w_temporal(cfg, f1, f2, quad, grid, method="quad")
+    assert -1e-13 < lows[0] < 0.0
+    assert fast.values.min() == 0.0
+    np.testing.assert_allclose(fast.values, direct.values, rtol=0, atol=5e-13)
+
+
+def test_continuum_node_count_follows_the_walk_off():
+    # the s-Gaussian's curvature grows as (sigma t)^2, and the node count with it
+    counts = [continuum._order(float(t) ** 2, 0.0) for t in (1.0, 8.0, 40.0, 80.0)]
+    assert counts == sorted(counts) and counts[0] < counts[-1] / 4
+
+
+def test_continuum_chunks_agree_to_rounding(monkeypatch):
+    # each output is one sum over all nodes or node pairs, whatever the
+    # chunking; only BLAS's blocking of it may move the last bit
+    cfg, (f1, f2, f3), g12, g32 = CONTINUUM_CASES["offsets"]
+    whole = w_temporal_panels(cfg, f1, f2, f3, WIDE, (g12, g32), method="continuum")
+    monkeypatch.setattr(continuum, "_CHUNK", 1000)
+    chunked = w_temporal_panels(cfg, f1, f2, f3, WIDE, (g12, g32), method="continuum")
+    for got, ref in zip(chunked, whole):
+        np.testing.assert_allclose(got.values, ref.values, rtol=1e-15, atol=1e-16)
+
+
+def test_engine_choice_follows_the_filter_shapes():
+    rect = FilterSpec("rectangular", 0.5)
+    assert w_temporal_method(GAUSS, GAUSS, GAUSS) == "continuum"
+    assert w_temporal_method(GAUSS, rect) == "fft"
+    assert w_temporal_method(GAUSS, GAUSS, rect) == "fft"
+    with pytest.raises(InvalidArgumentError, match="Gaussian"):
+        g3_w_temporal(CFG, GAUSS, GAUSS, rect, QUAD, (_G, _G), method="continuum")
+    with pytest.raises(InvalidArgumentError, match="Gaussian"):
+        g2_w_temporal(CFG, rect, GAUSS, QUAD, _G, method="continuum")
+
+
+def test_continuum_keeps_the_span_check():
+    # the closed form does not sample the span, but rejects the same configs
+    wide_f = FilterSpec("gaussian", 0.8)
+    for call in (lambda: g2_w_temporal(CFG, wide_f, GAUSS, QUAD, _G, method="continuum"),
+                 lambda: w_temporal_panels(PhaseMatchConfig(-2.0, -2.0), GAUSS, GAUSS, GAUSS,
+                                           QUAD, (_G, _G), method="continuum")):
+        with pytest.raises(ConfigurationError):
+            call()
+
+
+@pytest.mark.parametrize("name", ["g2_ghz_temporal", "g3_ghz_temporal", "g2_w_spatial",
+                                  "g3_w_spatial", "g3_ghz_spatial", "g2_ghz_spatial"])
+def test_continuum_is_a_w_temporal_engine_only(name):
+    with pytest.raises(InvalidArgumentError, match="method"):
+        WITH_METHOD[name]("continuum")
 
 
 def test_g2_w_fft_transforms_one_row_of_lags(monkeypatch):

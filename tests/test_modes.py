@@ -327,6 +327,21 @@ def test_sector_path_matches_dense_on_random_tensors():
     assert entangled >= 10
 
 
+def test_negativity_eigensolves_only_live_rows(monkeypatch):
+    # at n = 33 each degenerate-pair partial-transpose block has at most two
+    # live rows and is solved on those alone; every three-mode block is
+    # fully live, so the three-mode state stays one batched eigensolve
+    shapes = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: shapes.append(x.shape) or real(x))
+    grid = ModeGrid(33, -1.2, 1.2)
+    assert build_ghz_discrete(CFG, (GAUSS, GAUSS), grid).pair_negativity() == 0.0
+    assert shapes and max(shape[-1] for shape in shapes) <= 2
+    shapes.clear()
+    assert build_w_discrete(CFG, (GAUSS, GAUSS, GAUSS), grid).pair_negativity() > 0.1
+    assert shapes == [(33, 33, 33)]
+
+
 def test_sector_negativity_continuum_limit():
     # default grid and filters: refining the bins settles the surviving
     # pair entanglement near 0.12767 while the degenerate pair stays

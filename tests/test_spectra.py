@@ -9,11 +9,12 @@ from triphoton import (
     PhaseMatchConfig,
     TransverseWindow,
     detuning_ghz,
-    detuning_w,
     filter_eval,
     phi,
     window_eval,
 )
+
+from oracle import detuning_w
 
 CFG = PhaseMatchConfig(t12=-20.0, t32=-20.0)
 

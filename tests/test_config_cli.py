@@ -12,6 +12,7 @@ import pytest
 import triphoton
 import triphoton.correlators
 from triphoton import SchemaError, parse_config, serialize_config
+from triphoton import cli
 from triphoton.cli import main
 
 # small quadrature and grids keep the CLI tests quick
@@ -454,6 +455,62 @@ def test_output_path_collision_is_io_error(tmp_path, fast_config, capsys):
     rc = main(["modes", "--config", str(fast_config), "--out", str(blocker)])
     assert rc == 1
     assert str(blocker) in capsys.readouterr().err
+
+
+def test_unwritable_csv_is_io_error(tmp_path, fast_config, capsys):
+    out = tmp_path / "w"
+    target = out / "fig1b_g3_w_conditional.csv"
+    target.mkdir(parents=True)
+    assert main(["figure1", "--config", str(fast_config), "--out", str(out)]) == 1
+    assert f"cannot write {target}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,stem", [
+    (["correlate", "--state", "w111", "--domain", "time", "--order", "2", "--physical-mask"],
+     "correlate_w111_time_g2"),
+    (["figure1"], "fig1"),
+], ids=["correlate", "figure1"])
+def test_failed_metric_writes_no_file(tmp_path, capsys, argv, stem):
+    # every delay is negative: the curve has one half-maximum crossing and
+    # the mask would leave a header-only CSV
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"grids": {"tau12_ps": {"start": -10.0, "step": 0.1,
+                                                       "count": 50}}}), encoding="utf-8")
+    out = tmp_path / "f"
+    assert main([argv[0], "--config", str(path), "--out", str(out), *argv[1:]]) == 3
+    assert "no unique half-maximum pair" in capsys.readouterr().err
+    assert not list(out.glob(f"{stem}*"))
+
+
+def test_successive_main_calls_in_one_process(tmp_path, capsys):
+    doc = json.loads(json.dumps(FAST_CONFIG))
+    doc["grids"]["tau12_ps"] = {"start": -10.0, "step": 0.5, "count": 81}
+    doc["grids"]["tau32_ps"] = {"start": -10.0, "step": 0.5, "count": 81}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    common = ["--config", str(path)]
+    figure1 = ["figure1", *common, "--out"]
+    correlate = ["correlate", *common, "--state", "ghz12", "--domain", "time", "--order", "3",
+                 "--out"]
+    assert main(figure1 + [str(tmp_path / "bare"), "--no-physical-mask"]) == 0
+    assert main(["correlate", *common, "--state", "w111"]) == 2
+    assert "--domain" in capsys.readouterr().err
+    assert main(figure1 + [str(tmp_path / "a")]) == 0
+    assert main(correlate + [str(tmp_path / "c")]) == 0
+    assert main(["figure1", "--bogus"]) == 2
+    assert main(figure1 + [str(tmp_path / "b")]) == 0
+    assert main(correlate + [str(tmp_path / "d")]) == 0
+    assert cli._build_parser() is cli._build_parser()
+    for name in ("fig1a_g3_w_temporal.csv", "fig1b_g3_w_conditional.csv",
+                 "fig1c_g2_w_temporal.csv"):
+        masked = (tmp_path / "a" / name).read_bytes()
+        assert masked == (tmp_path / "b" / name).read_bytes()
+        # the mask defaults to on again after a call that turned it off
+        assert b"\n-" not in masked and b"\n-" in (tmp_path / "bare" / name).read_bytes()
+    curve = "correlate_ghz12_time_g3.csv"
+    assert (tmp_path / "c" / curve).read_bytes() == (tmp_path / "d" / curve).read_bytes()
+    # correlate's mask defaults to off
+    assert b"\n-" in (tmp_path / "c" / curve).read_bytes()
 
 
 def test_modes_property_violation_exit_code(tmp_path, capsys):

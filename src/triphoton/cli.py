@@ -4,7 +4,8 @@ Subcommands: ``figure1`` reproduces the reference three-panel comparison,
 ``correlate`` dispatches any single correlator, ``modes`` runs the
 discrete loss-of-one-photon analysis, ``sweep`` tabulates summary metrics
 over one parameter. All numeric CSV output uses %.12e and newline line
-endings so reruns are byte identical.
+endings so reruns are byte identical. A command leaves all of its output
+files or, when one cannot be written, none of them.
 
 Exit codes: 0 success, 1 I/O failure, 2 usage or schema error,
 3 numerical or degenerate-input error, 4 physics property violation.
@@ -13,6 +14,7 @@ Exit codes: 0 success, 1 I/O failure, 2 usage or schema error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -73,6 +75,36 @@ def _write_text(path: Path, *parts: str | bytes) -> None:
                 fh.write(part.encode() if isinstance(part, str) else part)
     except OSError as err:
         raise OSError(f"cannot write {path}: {err}") from err
+
+
+@contextlib.contextmanager
+def _all_or_nothing():
+    """Yield ``stage``, which maps an output path to the temporary sibling
+    its content is written to. Once the block has run, every staged file is
+    renamed into place; if the block or a rename fails, every file staged
+    or renamed in it is removed, so a command leaves all of its outputs or
+    none of them."""
+    staged: list[tuple[Path, Path]] = []
+    placed: list[Path] = []
+
+    def stage(path: Path) -> Path:
+        tmp = path.with_name(path.name + ".partial")
+        staged.append((tmp, path))
+        return tmp
+
+    try:
+        yield stage
+        for tmp, path in staged:
+            try:
+                tmp.replace(path)
+            except OSError as err:
+                raise OSError(f"cannot write {path}: {err}") from err
+            placed.append(path)
+    except BaseException:
+        for path in [tmp for tmp, _ in staged] + placed:
+            with contextlib.suppress(OSError):
+                path.unlink(missing_ok=True)
+        raise
 
 
 # CSV cells are formatted by numpy into 24-byte fields of six uint32 words:
@@ -277,11 +309,13 @@ def cmd_figure1(cfg: ExperimentConfig, out_dir: Path, physical_mask: bool = True
         "b": out_dir / "fig1b_g3_w_conditional.csv",
         "c": out_dir / "fig1c_g2_w_temporal.csv",
     }
-    write_surface_csv(paths["a"], ("tau12_ps", "tau32_ps"), "g3", surface, physical_mask)
-    write_surface_csv(paths["b"], ("tau12_ps",), "g3", conditional, physical_mask)
-    write_surface_csv(paths["c"], ("tau12_ps",), "g2", pair, physical_mask)
-    summary = _summary("figure1", cfg, [str(p) for p in paths.values()], metrics, started)
-    _write_json(out_dir / "figure1_summary.json", summary)
+    with _all_or_nothing() as stage:
+        write_surface_csv(stage(paths["a"]), ("tau12_ps", "tau32_ps"), "g3", surface,
+                          physical_mask)
+        write_surface_csv(stage(paths["b"]), ("tau12_ps",), "g3", conditional, physical_mask)
+        write_surface_csv(stage(paths["c"]), ("tau12_ps",), "g2", pair, physical_mask)
+        summary = _summary("figure1", cfg, [str(p) for p in paths.values()], metrics, started)
+        _write_json(stage(out_dir / "figure1_summary.json"), summary)
     return summary
 
 
@@ -342,21 +376,22 @@ def cmd_correlate(cfg: ExperimentConfig, out_dir: Path, state: str, domain: str,
     stem = f"correlate_{state}_{domain}_g{order}"
     method = corr.w_temporal_method(*cfg.filters[:reads]) if reads else None
     result = evaluate(cfg, method)
-    if isinstance(layout, str):
-        path = out_dir / f"{stem}.json"
-        metrics = {"value": result, layout: True}
-        _write_json(path, metrics)
-    else:
-        path = out_dir / f"{stem}.csv"
-        metrics = {"peak_location": _peak_location(result)}
-        if len(layout) == 1:
-            metrics["fwhm"] = corr.fwhm(result)
-        if method is not None:
-            metrics["engine"] = method
-        write_surface_csv(path, layout, f"g{order}", result, physical_mask and domain == "time")
-
-    summary = _summary("correlate", cfg, [str(path)], metrics, started)
-    _write_json(out_dir / f"{stem}_summary.json", summary)
+    with _all_or_nothing() as stage:
+        if isinstance(layout, str):
+            path = out_dir / f"{stem}.json"
+            metrics = {"value": result, layout: True}
+            _write_json(stage(path), metrics)
+        else:
+            path = out_dir / f"{stem}.csv"
+            metrics = {"peak_location": _peak_location(result)}
+            if len(layout) == 1:
+                metrics["fwhm"] = corr.fwhm(result)
+            if method is not None:
+                metrics["engine"] = method
+            write_surface_csv(stage(path), layout, f"g{order}", result,
+                              physical_mask and domain == "time")
+        summary = _summary("correlate", cfg, [str(path)], metrics, started)
+        _write_json(stage(out_dir / f"{stem}_summary.json"), summary)
     return summary
 
 
@@ -425,7 +460,8 @@ def cmd_modes(cfg: ExperimentConfig, out_dir: Path) -> dict[str, Any]:
         },
     }
     report["wall_ms"] = (time.perf_counter() - started) * 1e3
-    _write_json(out_dir / "modes_report.json", report)
+    with _all_or_nothing() as stage:
+        _write_json(stage(out_dir / "modes_report.json"), report)
     if not report["pass"]:
         raise PropertyViolationError(
             "loss-of-one-photon signature failed: "
@@ -496,10 +532,11 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, param: str, values: Sequence
             _fmt(w_state.pair_negativity()), _fmt(ghz_state.pair_negativity()),
         ]))
     path = out_dir / f"sweep_{param}.csv"
-    _write_text(path, "\n".join(lines) + "\n")
-    summary = _summary("sweep", cfg, [str(path)],
-                       {"engine": engine, "param": param, "rows": len(values)}, started)
-    _write_json(out_dir / f"sweep_{param}_summary.json", summary)
+    with _all_or_nothing() as stage:
+        _write_text(stage(path), "\n".join(lines) + "\n")
+        summary = _summary("sweep", cfg, [str(path)],
+                           {"engine": engine, "param": param, "rows": len(values)}, started)
+        _write_json(stage(out_dir / f"sweep_{param}_summary.json"), summary)
     return summary
 
 

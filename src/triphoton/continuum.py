@@ -18,15 +18,18 @@ mu, found by completing the square. Its Fourier transform gives
 where Q(s) = T(s)^T M^-1 T(s) and gamma = mu . t. The phase
 exp(i mu . tau) is common to every s, so it drops out of |A|^2. The pair
 correlation traces photon 3 outside the modulus. For each node pair
-(s, s') that is a 3-D Gaussian integral over (nu1, nu1', nu3), so the
-pair correlation is a symmetric double sum over the nodes.
+(s, s') that is a 3-D Gaussian integral over (nu1, nu1', nu3), whose
+exponent splits into a factor per node and a kernel of s - s', so the
+pair correlation is a quadratic form E^T G E of a (K, K) kernel matrix G
+in the K per-node factors E(tau).
 
 The s integrals are K-node Gauss-Legendre sums. K follows from the
-curvature of the s-Gaussian (``_order``). Every term is evaluated as
-exp(-Q / 2) with Q >= 0, so no factor can overflow however long the
+curvature of the s-Gaussian (``_order``). Every exponential is evaluated
+as exp(-Q / 2) with Q >= 0, so no factor can overflow however long the
 walk-off. Work is chunked over the output points, so no temporary holds
-more than ``_CHUNK`` floats, and each output is one sum over all nodes or
-node pairs.
+more than ``_CHUNK`` floats, and each output is one reduction over all
+nodes. A surface or line point costs K exponentials, a pair point K
+exponentials and a (K, K) matrix-vector product.
 """
 
 from __future__ import annotations
@@ -96,17 +99,17 @@ def _gaussian(filters: tuple[FilterSpec, ...], rows) -> tuple[np.ndarray, np.nda
     return np.linalg.inv(precision), np.linalg.solve(precision, r.T @ (centres * inv_var))
 
 
-def _exp_sum(n_rows: int, row_size: int, half_q, coef: np.ndarray) -> np.ndarray:
-    """sum_k coef[k] exp(-half_q(rows)[..., k]) for every output row, the
-    rows taken in chunks of at most ``_CHUNK`` exponentials, or one row
-    where a row holds more."""
+def _exp_sum(n_rows: int, row_size: int, half_q, reduce) -> np.ndarray:
+    """reduce(exp(-half_q(rows))) for every output row, the rows taken in
+    chunks of at most ``_CHUNK`` exponentials, or one row where a row holds
+    more; ``reduce`` maps the (rows, ...) exponentials to (rows, ...)."""
     step = max(1, _CHUNK // row_size)
     out = None
     for i in range(0, n_rows, step):
         e = half_q(slice(i, i + step))
         np.negative(e, out=e)
         np.exp(e, out=e)
-        part = e @ coef
+        part = reduce(e)
         if out is None:
             out = np.empty((n_rows,) + part.shape[1:])
         out[i:i + step] = part
@@ -149,7 +152,8 @@ def w_surface(cfg: PhaseMatchConfig, filters: tuple[FilterSpec, ...],
     """The W amplitude over tau12 x tau32, up to a constant factor and a
     phase per point."""
     (u1, u3, v3), coef = _w3_terms(cfg, filters, tau12, tau32)
-    amp = _exp_sum(len(tau12), u3.size, lambda rows: _half_q(u1[rows, None], u3, v3), coef)
+    amp = _exp_sum(len(tau12), u3.size, lambda rows: _half_q(u1[rows, None], u3, v3),
+                   lambda e: e @ coef)
     return amp.view(complex)[..., 0]
 
 
@@ -159,45 +163,62 @@ def w_line(cfg: PhaseMatchConfig, filters: tuple[FilterSpec, ...],
     factor and a phase per point."""
     (u1, u3, v3), coef = _w3_terms(cfg, filters, tau12, tau32)
     amp = _exp_sum(len(tau12), u1.shape[1],
-                   lambda rows: _half_q(u1[rows], u3[rows], v3[rows]), coef)
+                   lambda rows: _half_q(u1[rows], u3[rows], v3[rows]), lambda e: e @ coef)
     return amp.view(complex)[..., 0]
+
+
+def _pair_form(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec
+               ) -> tuple[float, float, float, float]:
+    """(alpha, beta, gamma, curvature) of the pair correlation's node-pair
+    exponent (see ``w_pair``), from the covariance C and centre mu of the
+    filters over (nu1, nu1', nu3), primed for the conjugate amplitude."""
+    cov, mu = _gaussian((f1, f1, f2, f2),
+                        ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-1.0, 0.0, -1.0), (0.0, -1.0, -1.0)))
+    d = np.array([cfg.t12, 0.0, cfg.t32])
+    curvature = float(d @ cov @ d)
+    alpha = float(cov[0, 0] - cov[0, 1])
+    # a square (see w_pair): only rounding can take it below zero
+    beta = max(0.0, curvature - alpha * cfg.t12 ** 2)
+    return alpha, beta, float(mu @ d), curvature
 
 
 def w_pair(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec, tau: np.ndarray
            ) -> tuple[np.ndarray, int]:
     """The pair correlation sum_3 |A(tau)|^2 with photon 3 unfiltered, up to
-    a constant factor, and the number of node pairs summed.
+    a constant factor, and K (K + 1) / 2, the number of distinct node pairs
+    in the sum, which sets its rounding floor.
 
     The variables are (nu1, nu1', nu3), primed for the conjugate amplitude.
-    With u = tau + s t12, v = tau + s' t12 and D = s - s', the exponent of
-    node pair (s, s') has T = (u, -v, D t32), and the symmetry nu1 <-> nu1'
-    of the covariance C reduces it to
+    With u_k = tau + s_k t12 and D = s_k - s_l, the exponent of node pair
+    (s_k, s_l) has T = (u_k, -u_l, D t32), and the symmetry nu1 <-> nu1' of
+    the covariance C splits it into a part per node and a part in D:
 
-        Q / 2 = (C11 - C12) (tau + t12 (s + s') / 2)^2 + b D^2 / 2,
+        Q / 2 = alpha (u_k^2 + u_l^2) / 2 + beta D^2 / 2,
 
-    with b = d^T C d - (C11 - C12) t12^2 / 2 for d = dT/ds = (t12, 0, t32),
-    and the phase gamma D with gamma = mu . d. The pair (s', s) is the
-    conjugate, so the sum runs over k <= l, and the k != l terms carry
-    twice their real part.
+    with alpha = C11 - C12 and beta = d^T C d - alpha t12^2 for
+    d = dT/ds = (t12, 0, t32), and the phase gamma D with gamma = mu . d.
+    So the pair correlation is E^T G E, with E_k = exp(-alpha u_k^2 / 2)
+    and G_kl = w_k w_l cos(gamma D) exp(-beta D^2 / 2): K exponentials per
+    delay and one product with the (K, K) kernel G, not one exponential per
+    node pair. In closed form alpha = s1^2 s2^2 / (s1^2 + s2^2) and
+    beta = (s1^2 t12 - (s1^2 + s2^2) t32)^2 / (2 (s1^2 + s2^2)), both
+    >= 0 for any widths, offsets and walk-offs, so every factor of every
+    term is at most 1 and none can overflow. Where an E_k underflows, every
+    term it multiplies is smaller still.
     """
-    cov, mu = _gaussian((f1, f1, f2, f2),
-                        ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-1.0, 0.0, -1.0), (0.0, -1.0, -1.0)))
-    d = np.array([cfg.t12, 0.0, cfg.t32])
-    curvature = float(d @ cov @ d)
-    gamma = float(mu @ d)
-    alpha = cov[0, 0] - cov[0, 1]
-    b = curvature - 0.5 * alpha * cfg.t12 ** 2
+    alpha, beta, gamma, curvature = _pair_form(cfg, f1, f2)
     s, w = _legendre(_order(curvature, gamma))
-    k, l = np.triu_indices(len(s))
-    diff = s[k] - s[l]
-    weight = (np.where(k == l, 1.0, 2.0) * w[k] * w[l]
-              * np.exp(-0.5 * b * diff * diff) * np.cos(gamma * diff))
-    centre = (0.5 * cfg.t12) * (s[k] + s[l])
-    root = math.sqrt(alpha)
+    c = w * np.exp(1j * gamma * s)
+    diff = np.subtract.outer(s, s)
+    kernel = np.exp(-0.5 * beta * diff * diff)
+    kernel *= np.outer(c, c.conj()).real
+    root = math.sqrt(0.5 * alpha)
 
-    def exponent(rows):
-        e = np.add.outer(root * tau[rows], root * centre)
+    def half_q(rows):
+        e = np.add.outer(root * tau[rows], (root * cfg.t12) * s)
         e *= e
         return e
 
-    return _exp_sum(len(tau), len(k), exponent, weight), len(k)
+    vals = _exp_sum(len(tau), len(s), half_q,
+                    lambda e: np.einsum("ij,ij->i", e @ kernel, e))
+    return vals, len(s) * (len(s) + 1) // 2

@@ -400,7 +400,8 @@ def g2_w_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
     Its error is an absolute floor of ~n eps of the peak, so a grid that
     sees only the curve's tail is rejected (``DegenerateInputError``).
     ``method="continuum"`` (Gaussian filters only) sums the closed-form
-    Gaussian integrals over pairs of envelope nodes (``continuum.w_pair``).
+    Gaussian integrals over pairs of envelope nodes as one (K, K) kernel
+    quadratic form per delay (``continuum.w_pair``).
     """
     if method == "continuum":
         quad.validate_for(cfg, (f1, f2))

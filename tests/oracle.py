@@ -2,12 +2,14 @@
 
 Each one is written out element by element, from the physics, without
 the package's structured shortcuts: no 1-D tables, no Hankel view, no
-chirp-z and no closed-form Gaussian integrals.
+chirp-z and no factored exponents. Only the pair oracle integrates the
+frequencies in closed form, one envelope node pair at a time.
 """
 
 import numpy as np
 
 from triphoton import CorrelationSurface, InvalidArgumentError, normalize_to_peak
+from triphoton.continuum import _gaussian, _legendre, _order
 from triphoton.spectra import filter_eval, phi
 
 
@@ -50,3 +52,34 @@ def w_surface_trapezoid(cfg, f1, f2, f3, quad, grids):
     e12, e32 = (np.exp(1j * np.outer(g.points(), nu)) for g in grids)
     amp = e12 @ F @ e32.T
     return normalize_to_peak(CorrelationSurface(grids, np.abs(amp) ** 2))
+
+
+def w_pair_node_pairs(cfg, f1, f2, tau):
+    """The W pair correlation sum_3 |A(tau)|^2, photon 3 unfiltered, as the
+    double sum over every ordered pair (s_k, s_l) of the continuum engine's
+    Gauss-Legendre envelope nodes, up to the engine's constant factor.
+
+    Each node pair is a 3-D Gaussian integral over (nu1, nu1', nu3), primed
+    for the conjugate amplitude, done in closed form: with covariance C and
+    centre mu, its value is exp(i mu . T - T^T C T / 2) at
+    T = (tau + s_k t12, -(tau + s_l t12), (s_k - s_l) t32). The phase
+    mu . T is gamma (s_k - s_l) with gamma = mu . (t12, 0, t32), once the
+    tau-dependent part, the same for every pair, is dropped.
+    """
+    cov, mu = _gaussian((f1, f1, f2, f2),
+                        ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-1.0, 0.0, -1.0), (0.0, -1.0, -1.0)))
+    d = np.array([cfg.t12, 0.0, cfg.t32])
+    gamma = mu @ d
+    s, w = _legendre(_order(d @ cov @ d, gamma))
+    sk = s[:, None]
+    sl = s[None, :]
+    weight = w[:, None] * w[None, :] * np.cos(gamma * (sk - sl))
+    tau = np.asarray(tau, dtype=float)[:, None, None]
+    out = np.empty(len(tau))
+    step = max(1, (1 << 18) // len(s) ** 2)
+    for a in range(0, len(tau), step):
+        T = (tau[a:a + step] + sk * cfg.t12, -(tau[a:a + step] + sl * cfg.t12),
+             (sk - sl) * cfg.t32)
+        Q = sum(cov[i, j] * T[i] * T[j] for i in range(3) for j in range(3))
+        out[a:a + step] = np.sum(weight * np.exp(-0.5 * Q), axis=(1, 2))
+    return out

@@ -465,6 +465,23 @@ def test_unwritable_csv_is_io_error(tmp_path, fast_config, capsys):
     assert f"cannot write {target}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,blocked", [
+    (["figure1"], "fig1b_g3_w_conditional.csv"),
+    (["figure1"], "figure1_summary.json"),
+    (["correlate", "--state", "w111", "--domain", "time", "--order", "2"],
+     "correlate_w111_time_g2_summary.json"),
+    (["modes"], "modes_report.json"),
+], ids=["figure1-csv", "figure1-summary", "correlate", "modes"])
+def test_failed_write_leaves_no_output(tmp_path, fast_config, capsys, argv, blocked):
+    # a directory where one output belongs fails the command after the
+    # others were written; none of them, and no temporary file, is left
+    out = tmp_path / "w"
+    (out / blocked).mkdir(parents=True)
+    assert main([argv[0], "--config", str(fast_config), "--out", str(out), *argv[1:]]) == 1
+    assert f"cannot write {out / blocked}" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == [blocked]
+
+
 @pytest.mark.parametrize("argv,stem", [
     (["correlate", "--state", "w111", "--domain", "time", "--order", "2", "--physical-mask"],
      "correlate_w111_time_g2"),

@@ -48,7 +48,7 @@ from triphoton.correlators import (
 )
 from triphoton.spectra import detuning_ghz, filter_eval, phi
 
-from oracle import detuning_w, w_integrand, w_surface_trapezoid
+from oracle import detuning_w, w_integrand, w_pair_node_pairs, w_surface_trapezoid
 
 CFG = PhaseMatchConfig(-20.0, -20.0)
 GAUSS = FilterSpec("gaussian", 0.4)
@@ -359,14 +359,118 @@ def test_continuum_node_count_follows_the_walk_off():
 
 
 def test_continuum_chunks_agree_to_rounding(monkeypatch):
-    # each output is one sum over all nodes or node pairs, whatever the
-    # chunking; only BLAS's blocking of it may move the last bit
+    # each output is one reduction over all nodes, whatever the chunking;
+    # only BLAS's blocking of it may move the last bit. Every engine call,
+    # the pair's included, must run in more than one block here.
     cfg, (f1, f2, f3), g12, g32 = CONTINUUM_CASES["offsets"]
     whole = w_temporal_panels(cfg, f1, f2, f3, WIDE, (g12, g32), method="continuum")
+    blocks = []
+    real = continuum._exp_sum
+
+    def counted(n_rows, row_size, half_q, reduce):
+        calls = []
+        blocks.append(calls)
+        return real(n_rows, row_size, lambda rows: calls.append(rows) or half_q(rows), reduce)
+
+    monkeypatch.setattr(continuum, "_exp_sum", counted)
     monkeypatch.setattr(continuum, "_CHUNK", 1000)
     chunked = w_temporal_panels(cfg, f1, f2, f3, WIDE, (g12, g32), method="continuum")
+    assert len(blocks) == 3 and min(map(len, blocks)) > 1
     for got, ref in zip(chunked, whole):
         np.testing.assert_allclose(got.values, ref.values, rtol=1e-15, atol=1e-16)
+
+
+# Pair cases: (cfg, f1, f2, delays). The continuum pair's kernel quadratic
+# form must give the node-pair double sum it restructures; the distances
+# read are 4e-16 (CONTINUUM_CASES), 1.6e-14 (far-off centres) and 3.8e-15
+# (sigma |t| = 80 at m = 2561) of the peak.
+PAIR_CASES = {
+    **{name: (cfg, f1, f2, g12.points())
+       for name, (cfg, (f1, f2, _), g12, _) in CONTINUUM_CASES.items()},
+    "far_off_centres": (PhaseMatchConfig(-103.0, -13.0),
+                        FilterSpec("gaussian", 0.21, center_offset=1.5),
+                        FilterSpec("gaussian", 0.36, center_offset=0.7),
+                        Grid1D(-20.0, 143.0 / 300, 301).points()),
+    "walk_off_200ps_fine": (PhaseMatchConfig(-200.0, -200.0), GAUSS, GAUSS,
+                            Grid1D(-20.0, 240.0 / 2560, 2561).points()),
+}
+
+
+def _pair_order(cfg, f1, f2):
+    _, _, gamma, curvature = continuum._pair_form(cfg, f1, f2)
+    return continuum._order(curvature, gamma)
+
+
+@pytest.mark.parametrize("case", PAIR_CASES)
+def test_continuum_pair_matches_node_pair_sum(case):
+    cfg, f1, f2, tau = PAIR_CASES[case]
+    vals, terms = continuum.w_pair(cfg, f1, f2, tau)
+    oracle = w_pair_node_pairs(cfg, f1, f2, tau)
+    k = _pair_order(cfg, f1, f2)
+    assert terms == k * (k + 1) // 2
+    assert np.abs(vals - oracle).max() <= 1e-13 * oracle.max()
+
+
+def test_continuum_pair_exponent_matches_closed_forms():
+    # alpha = s1^2 s2^2 / S and beta = (s1^2 t12 - S t32)^2 / (2 S), with
+    # S = s1^2 + s2^2, whatever the centres; beta is taken as a difference
+    # of terms of order of the curvature, so it is compared on that scale
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        s1, s2 = rng.uniform(0.1, 1.0, 2)
+        o1, o2 = rng.uniform(-1.0, 1.0, 2)
+        t12, t32 = rng.uniform(-1000.0, 1000.0, 2)
+        alpha, beta, _, curvature = continuum._pair_form(
+            PhaseMatchConfig(t12, t32), FilterSpec("gaussian", s1, center_offset=o1),
+            FilterSpec("gaussian", s2, center_offset=o2))
+        S = s1 * s1 + s2 * s2
+        assert alpha == pytest.approx(s1 * s1 * s2 * s2 / S, rel=1e-13)
+        assert beta >= 0.0
+        assert abs(beta - (s1 * s1 * t12 - S * t32) ** 2 / (2 * S)) <= 1e-13 * curvature
+
+
+@pytest.mark.parametrize("walk_off", [200.0, 1000.0])
+@pytest.mark.parametrize("f1, f2", [(GAUSS, GAUSS),
+                                    (FilterSpec("gaussian", 0.3, center_offset=1.2),
+                                     FilterSpec("gaussian", 0.5, center_offset=-0.8))])
+def test_continuum_pair_cannot_overflow(walk_off, f1, f2):
+    # every factor of every term is at most 1, so even K ~ 1000 nodes and
+    # tails that underflow raise nothing
+    cfg = PhaseMatchConfig(-walk_off, -0.7 * walk_off)
+    tau = Grid1D(-0.2 * walk_off, 1.6 * walk_off / 200, 201).points()
+    with np.errstate(over="raise", invalid="raise"):
+        vals, _ = continuum.w_pair(cfg, f1, f2, tau)
+    assert np.all(np.isfinite(vals)) and vals.max() > 0.0
+
+
+class _CountingNumpy:
+    """numpy, with the elements its exp, cos and sin calls evaluate counted."""
+
+    def __init__(self):
+        self.evaluated = 0
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if name not in ("exp", "cos", "sin"):
+            return fn
+
+        def counted(x, *args, **kwargs):
+            self.evaluated += np.size(x)
+            return fn(x, *args, **kwargs)
+        return counted
+
+
+def test_continuum_pair_costs_k_exponentials_per_delay(monkeypatch):
+    # sigma |t| = 80 at m = 2561: a double sum would take K (K + 1) / 2
+    # exponentials per delay, ~32 M; the kernel quadratic form takes K per
+    # delay, plus the (K, K) kernel and K phases
+    cfg, f1, f2, tau = PAIR_CASES["walk_off_200ps_fine"]
+    k = _pair_order(cfg, f1, f2)
+    assert k > 100
+    counting = _CountingNumpy()
+    monkeypatch.setattr(continuum, "np", counting)
+    continuum.w_pair(cfg, f1, f2, tau)
+    assert 0 < counting.evaluated <= k * (len(tau) + k + 2)
 
 
 def test_engine_choice_follows_the_filter_shapes():

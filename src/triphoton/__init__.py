@@ -70,7 +70,6 @@ from .spectra import (
     detuning_ghz,
     filter_eval,
     phi,
-    window_eval,
 )
 
 __version__ = "0.1.0"

@@ -1,7 +1,11 @@
 """Second- and third-order correlation surfaces for both triphoton states.
 
-Every correlator is evaluated on user-supplied delay or displacement
-grids by two interchangeable engines:
+The transverse correlators are closed forms: under the Gaussian
+transverse window each curve is an exact Gaussian in the displacement,
+and the degenerate-pair constant is the window's mode volume.
+
+The temporal correlators are evaluated on user-supplied delay grids by
+two interchangeable engines:
 
 * ``method="fft"``: a chirp-z transform (Bluestein's algorithm on
   ``numpy.fft``, implemented here as ``czt``) that evaluates the
@@ -66,7 +70,6 @@ from .spectra import (
     detuning_ghz,
     filter_eval,
     phi,
-    window_eval,
 )
 
 Method = Literal["fft", "quad"]
@@ -538,58 +541,62 @@ def g3_ghz_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
     return _intensity((grid,), _transform(w * g, 2.0 * nu, grid.points(), method))
 
 
-# Transverse trapezoid rule: 6 window half-widths put the amplitude at
-# exp(-36), so nothing survives beyond +-6 alpha_max.
-_ALPHA_POINTS = 1024
-
-
-def _alpha_nodes_weights(window: TransverseWindow) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes, trapezoid weights and window values of the transverse rule."""
-    alpha, w = QuadratureSpec(_ALPHA_POINTS, 6.0 * window.alpha_max).nodes_weights()
-    return alpha, w, window_eval(window, alpha)
+def _gaussian_curve(grid: Grid1D, k: float) -> np.ndarray:
+    """exp(-k rho^2) over ``grid`` divided by its largest sample, which is
+    then exactly 1: a grid far from rho = 0 keeps its tail, not underflow."""
+    r2 = grid.points() ** 2
+    return np.exp(-k * (r2 - r2.min()))
 
 
 def g2_w_spatial(window: TransverseWindow, grid: Grid1D, *,
                  method: Method = "fft") -> CorrelationSurface:
-    """Two-photon transverse correlation of the three-mode state.
+    """Two-photon transverse correlation of the three-mode state,
+    exp(-a^2 rho^2 / 2) with a = alpha_max.
 
     The undetected photon contributes an incoherent constant, which the
-    peak normalization divides out, and the detected pair a windowed
-    Fourier kernel; the width is set entirely by the transverse-mode
-    bandwidth. The grid is the displacement between detectors 1 and 2
-    along one transverse axis.
+    peak normalization divides out, and the detected pair the squared
+    Fourier transform of the Gaussian window; the width is set entirely by
+    the transverse-mode bandwidth. The grid is the displacement between
+    detectors 1 and 2 along one transverse axis. Every transverse
+    correlator is this kind of closed form on both methods; ``method`` is
+    kept because perfbench's tracer re-runs each correlator on ``quad``.
     """
-    alpha, w, W = _alpha_nodes_weights(window)
-    return _intensity((grid,), _transform(w * W, alpha, grid.points(), method))
+    _check_method(method)
+    a = window.alpha_max
+    return CorrelationSurface((grid,), _gaussian_curve(grid, 0.5 * a * a), normalized=True)
 
 
 def g3_w_spatial(window: TransverseWindow, grids: tuple[Grid1D, Grid1D], *,
                  method: Method = "fft") -> CorrelationSurface:
-    """Three-fold transverse correlation surface of the three-mode state."""
-    alpha, w, W = _alpha_nodes_weights(window)
-    c = w * W
-    a1, a3 = (_transform(c, alpha, g.points(), method) for g in grids)
-    return _intensity(grids, np.outer(a1, a3))
+    """Three-fold transverse correlation surface of the three-mode state:
+    the outer product of the two axes' ``g2_w_spatial`` curves, each
+    normalized first so that no product passes through subnormals."""
+    _check_method(method)
+    a = window.alpha_max
+    curves = (_gaussian_curve(g, 0.5 * a * a) for g in grids)
+    return CorrelationSurface(grids, np.outer(*curves), normalized=True)
 
 
 def g3_ghz_spatial(window: TransverseWindow, grid: Grid1D, *,
                    method: Method = "fft") -> CorrelationSurface:
-    """Three-fold transverse correlation of the degenerate-pair state.
+    """Three-fold transverse correlation of the degenerate-pair state,
+    exp(-2 a^2 rho^2) with a = alpha_max.
 
     The pair is detected at one point, so the displacement kernel carries
     a factor 2 and the curve is half as wide as the single-window
     reference at the same transverse bandwidth.
     """
-    alpha, w, W = _alpha_nodes_weights(window)
-    return _intensity((grid,), _transform(w * W, 2.0 * alpha, grid.points(), method))
+    _check_method(method)
+    a = window.alpha_max
+    return CorrelationSurface((grid,), _gaussian_curve(grid, 2.0 * a * a), normalized=True)
 
 
 def g2_ghz_spatial(window: TransverseWindow, *, method: Method = "fft") -> float:
     """Displacement-independent transverse constant of the degenerate-pair
     state after one photon of the pair is lost: the windowed transverse
-    mode volume."""
-    alpha, w, W = _alpha_nodes_weights(window)
-    return _total(w * W**2, method)
+    mode volume, the integral of the squared window, alpha_max sqrt(pi / 2)."""
+    _check_method(method)
+    return window.alpha_max * math.sqrt(0.5 * math.pi)
 
 
 def normalize_to_peak(surface: CorrelationSurface) -> CorrelationSurface:

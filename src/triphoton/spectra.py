@@ -133,13 +133,3 @@ def filter_eval(spec: FilterSpec, nu):
         return float(out)
     return out
 
-
-def window_eval(window: TransverseWindow, alpha):
-    """Amplitude of the transverse-mode window at wave number alpha (rad/um)."""
-    arr = np.asarray(alpha, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise InvalidArgumentError("window argument must be finite")
-    out = np.exp(-((arr / window.alpha_max) ** 2))
-    if arr.ndim == 0:
-        return float(out)
-    return out

@@ -83,3 +83,29 @@ def w_pair_node_pairs(cfg, f1, f2, tau):
         Q = sum(cov[i, j] * T[i] * T[j] for i in range(3) for j in range(3))
         out[a:a + step] = np.sum(weight * np.exp(-0.5 * Q), axis=(1, 2))
     return out
+
+
+def window_eval(window, alpha):
+    """Amplitude of the transverse-mode window at wave number alpha (rad/um)."""
+    arr = np.asarray(alpha, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidArgumentError("window argument must be finite")
+    out = np.exp(-((arr / window.alpha_max) ** 2))
+    if arr.ndim == 0:
+        return float(out)
+    return out
+
+
+def transverse_trapezoid(window, rho, kernel=1.0, power=1):
+    """sum_n w_n W(alpha_n)^power exp(i kernel alpha_n rho) for each rho: a
+    1024-node trapezoid rule over +-6 alpha_max, where the window amplitude
+    is exp(-36), summed with an explicit phase matrix. ``kernel`` = 2 is
+    the degenerate pair detected at one point; power 2 at rho = 0 is the
+    transverse mode volume. The sum repeats in rho with period
+    2 pi / (kernel d alpha), 536 / (kernel alpha_max) um."""
+    span = 6.0 * window.alpha_max
+    alpha = np.linspace(-span, span, 1024)
+    w = np.full(1024, 2.0 * span / 1023)
+    w[[0, -1]] *= 0.5
+    kernel_matrix = np.exp(1j * kernel * np.outer(np.atleast_1d(rho), alpha))
+    return kernel_matrix @ (w * window_eval(window, alpha) ** power)

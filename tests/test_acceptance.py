@@ -47,6 +47,8 @@ from triphoton import (
 from triphoton.correlators import required_span
 from triphoton.cli import main
 
+from oracle import transverse_trapezoid
+
 CFG = PhaseMatchConfig(-20.0, -20.0)
 GAUSS = FilterSpec("gaussian", 0.4)
 FLAT = FilterSpec("rectangular", 1e6)
@@ -153,9 +155,6 @@ def test_criterion_5_engine_equivalence_on_every_correlator():
         "w_temporal_panels": lambda m: np.concatenate([
             s.values.ravel() for s in w_temporal_panels(CFG, GAUSS, GAUSS, GAUSS, quad,
                                                         (gt, gt), method=m)]),
-        "g2_w_spatial": lambda m: g2_w_spatial(win, gs, method=m).values,
-        "g3_w_spatial": lambda m: g3_w_spatial(win, (gs, gs), method=m).values,
-        "g3_ghz_spatial": lambda m: g3_ghz_spatial(win, gs, method=m).values,
     }
     worst = 0.0
     for name, evaluate in cases.items():
@@ -166,10 +165,24 @@ def test_criterion_5_engine_equivalence_on_every_correlator():
         methods = ("fft", "continuum") if w_temporal else ("fft",)
         for method in methods:
             worst = max(worst, float(np.abs(evaluate(method) - slow).max()))
+    # the transverse correlators are closed forms on both engines, so each
+    # is checked against the trapezoid-rule transverse integral instead
+    amp = transverse_trapezoid(win, gs.points())
+    pair_amp = transverse_trapezoid(win, gs.points(), kernel=2.0)
+    spatial = (
+        (lambda m: g2_w_spatial(win, gs, method=m).values, np.abs(amp) ** 2),
+        (lambda m: g3_w_spatial(win, (gs, gs), method=m).values, np.abs(np.outer(amp, amp)) ** 2),
+        (lambda m: g3_ghz_spatial(win, gs, method=m).values, np.abs(pair_amp) ** 2),
+    )
+    for evaluate, oracle in spatial:
+        for method in ("fft", "quad"):
+            worst = max(worst, float(np.abs(evaluate(method) - oracle / oracle.max()).max()))
+    volume = transverse_trapezoid(win, 0.0, power=2)[0].real
     scalar_pairs = (
         (g2_ghz_temporal(CFG, GAUSS, GAUSS, quad, method="fft"),
          g2_ghz_temporal(CFG, GAUSS, GAUSS, quad, method="quad")),
-        (g2_ghz_spatial(win, method="fft"), g2_ghz_spatial(win, method="quad")),
+        (g2_ghz_spatial(win, method="fft"), volume),
+        (g2_ghz_spatial(win, method="quad"), volume),
     )
     for fast, slow in scalar_pairs:
         worst = max(worst, abs(fast - slow) / abs(slow))

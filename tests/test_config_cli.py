@@ -220,6 +220,24 @@ def test_correlate_physical_mask_drops_negative_delays_only(tmp_path):
     assert min(first_axis("space", "physical-mask")) == -6.0
 
 
+def test_correlate_w_space_3_on_a_far_grid(tmp_path):
+    # both displacement grids start 40 um from rho = 0, where the surface is
+    # below 1e-300 of its true peak; the CSV holds the exact normalized tail
+    doc = json.loads(json.dumps(FAST_CONFIG))
+    far = {"start": 40.0, "step": 0.0625, "count": 257}
+    doc["grids"]["rho12_um"] = doc["grids"]["rho32_um"] = far
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "c"
+    assert main(["correlate", "--config", str(path), "--out", str(out),
+                 "--state", "w111", "--domain", "space", "--order", "3"]) == 0
+    rho12, rho32, values = np.loadtxt(out / "correlate_w111_space_g3.csv", delimiter=",",
+                                      skiprows=1).T
+    a = triphoton.TransverseWindow().alpha_max
+    expected = np.exp(-0.5 * a * a * ((rho12 ** 2 - 40.0 ** 2) + (rho32 ** 2 - 40.0 ** 2)))
+    np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
+
+
 def test_correlate_looks_up_correlators_at_call_time(tmp_path, fast_config, monkeypatch):
     # wrappers installed on triphoton.correlators after import must see the call
     calls = count_calls(monkeypatch, "g3_ghz_spatial")

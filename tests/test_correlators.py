@@ -48,7 +48,13 @@ from triphoton.correlators import (
 )
 from triphoton.spectra import detuning_ghz, filter_eval, phi
 
-from oracle import detuning_w, w_integrand, w_pair_node_pairs, w_surface_trapezoid
+from oracle import (
+    detuning_w,
+    transverse_trapezoid,
+    w_integrand,
+    w_pair_node_pairs,
+    w_surface_trapezoid,
+)
 
 CFG = PhaseMatchConfig(-20.0, -20.0)
 GAUSS = FilterSpec("gaussian", 0.4)
@@ -693,18 +699,37 @@ def test_g3_ghz_parseval():
 
 
 def test_spatial_closed_forms():
-    # Gaussian window integrals have exact Gaussian transforms; grids
-    # include zero so the peak sample is the true peak
-    a = WIN.alpha_max
-    grid = Grid1D(-6.0, 0.125, 97)
-    xs = grid.points()
-    s2 = g2_w_spatial(WIN, grid)
-    np.testing.assert_allclose(s2.values, np.exp(-0.5 * a * a * xs * xs), atol=1e-12)
-    s3g = g3_ghz_spatial(WIN, grid)
-    np.testing.assert_allclose(s3g.values, np.exp(-2.0 * a * a * xs * xs), atol=1e-12)
-    s3 = g3_w_spatial(WIN, (grid, grid))
-    expected = np.outer(np.exp(-0.5 * a * a * xs * xs), np.exp(-0.5 * a * a * xs * xs))
-    np.testing.assert_allclose(s3.values, expected, atol=1e-12)
+    # the closed forms against the trapezoid-rule transverse integrals; both
+    # grids start below zero and the second holds no sample at rho = 0
+    g, h = Grid1D(-6.0, 0.125, 97), Grid1D(-2.3, 0.07, 64)
+
+    def intensity(amp):
+        v = np.abs(amp) ** 2
+        return v / v.max()
+
+    for win in (TransverseWindow(0.7), TransverseWindow(1.6)):
+        a_g, a_h = transverse_trapezoid(win, g.points()), transverse_trapezoid(win, h.points())
+        expected = {
+            g2_w_spatial: ((g,), intensity(a_g)),
+            g3_ghz_spatial: ((g,), intensity(transverse_trapezoid(win, g.points(), kernel=2.0))),
+            g3_w_spatial: (((g, h),), intensity(np.outer(a_g, a_h))),
+        }
+        volume = transverse_trapezoid(win, 0.0, power=2)[0].real
+        for method in ("fft", "quad"):
+            for correlator, (args, oracle) in expected.items():
+                got = correlator(win, *args, method=method).values
+                np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-13)
+            assert g2_ghz_spatial(win, method=method) == pytest.approx(volume, rel=1e-13)
+
+
+@pytest.mark.parametrize("correlator,grid", [(g2_w_spatial, Grid1D(-600.0, 0.25, 4801)),
+                                             (g3_ghz_spatial, Grid1D(-300.0, 0.25, 2401))])
+def test_spatial_curves_do_not_repeat(correlator, grid):
+    # a 1024-node trapezoid rule over +-6 alpha_max repeats in rho with
+    # period 2 pi / d alpha: 536 um at alpha_max = 1, half that for the
+    # doubled kernel; the true curves have left 1e-12 long before 100 um
+    values = correlator(WIN, grid).values
+    assert values[np.abs(grid.points()) > 100.0].max() < 1e-12
 
 
 def test_spatial_ghz_half_width():

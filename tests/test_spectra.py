@@ -11,10 +11,9 @@ from triphoton import (
     detuning_ghz,
     filter_eval,
     phi,
-    window_eval,
 )
 
-from oracle import detuning_w
+from oracle import detuning_w, window_eval
 
 CFG = PhaseMatchConfig(t12=-20.0, t32=-20.0)
 

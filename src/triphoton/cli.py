@@ -16,11 +16,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import sys
 import time
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -67,8 +68,9 @@ def _out_dir(cfg: ExperimentConfig, out_arg: str | None) -> Path:
     return out
 
 
-def _write_text(path: Path, *parts: str | bytes) -> None:
-    """Write ``parts`` in order to ``path``; text is written as UTF-8."""
+def _write_text(path: Path, parts: Iterable[str | bytes]) -> None:
+    """Write ``parts`` to ``path`` in order, each as it is produced; text is
+    written as UTF-8."""
     try:
         with open(path, "wb") as fh:
             for part in parts:
@@ -211,15 +213,14 @@ def _e12_fields(x: np.ndarray, sep: str) -> np.ndarray:
     return fields
 
 
-def _csv_rows(axes: list[np.ndarray], vals: np.ndarray) -> list[bytearray]:
-    """The CSV rows of ``vals`` over one or two ``axes``, in blocks."""
+def _csv_rows(axes: list[np.ndarray], vals: np.ndarray) -> Iterator[bytearray]:
+    """The CSV rows of ``vals`` over one or two ``axes``, one block at a time."""
     lead = _e12_fields(axes[0], ",")
     # a curve's rows hold one empty group of second-axis fields
     rest = _e12_fields(axes[1], ",") if len(axes) == 2 else np.empty((1, 0), np.uint32)
     cells = vals.reshape(len(lead), len(rest))
     step = max(1, _BLOCK_CELLS // max(1, len(rest)))
     width = (len(axes) + 1) * _WORDS
-    blocks = []
     for i in range(0, len(lead), step):
         block = cells[i:i + step]
         buf = bytearray(4 * width * block.size)  # filled through a view, never copied
@@ -227,8 +228,7 @@ def _csv_rows(axes: list[np.ndarray], vals: np.ndarray) -> list[bytearray]:
         rows[..., :_WORDS] = lead[i:i + step, None]
         rows[..., _WORDS:-_WORDS] = rest
         rows[..., -_WORDS:] = _e12_fields(block, "\n").reshape(*block.shape, _WORDS)
-        blocks.append(buf.translate(None, b"\0"))
-    return blocks
+        yield buf.translate(None, b"\0")
 
 
 def write_surface_csv(path: Path, axis_names: tuple[str, ...], value_name: str,
@@ -241,7 +241,8 @@ def write_surface_csv(path: Path, axis_names: tuple[str, ...], value_name: str,
         keep = [xs >= 0.0 for xs in axes]
         vals = vals[np.ix_(*keep)]
         axes = [xs[k] for xs, k in zip(axes, keep)]
-    _write_text(path, ",".join((*axis_names, value_name)) + "\n", *_csv_rows(axes, vals))
+    header = ",".join((*axis_names, value_name)) + "\n"
+    _write_text(path, itertools.chain((header,), _csv_rows(axes, vals)))
 
 
 def _write_json(path: Path, payload: dict[str, Any]) -> None:
@@ -250,7 +251,7 @@ def _write_json(path: Path, payload: dict[str, Any]) -> None:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as err:
         raise TriphotonError(f"{path.name} would hold a non-finite number: {err}") from None
-    _write_text(path, text + "\n")
+    _write_text(path, (text + "\n",))
 
 
 def _peak_location(surface: CorrelationSurface) -> list[float]:
@@ -533,7 +534,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, param: str, values: Sequence
         ]))
     path = out_dir / f"sweep_{param}.csv"
     with _all_or_nothing() as stage:
-        _write_text(stage(path), "\n".join(lines) + "\n")
+        _write_text(stage(path), ("\n".join(lines) + "\n",))
         summary = _summary("sweep", cfg, [str(path)],
                            {"engine": engine, "param": param, "rows": len(values)}, started)
         _write_json(stage(out_dir / f"sweep_{param}_summary.json"), summary)

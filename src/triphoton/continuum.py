@@ -21,15 +21,21 @@ correlation traces photon 3 outside the modulus. For each node pair
 (s, s') that is a 3-D Gaussian integral over (nu1, nu1', nu3), whose
 exponent splits into a factor per node and a kernel of s - s', so the
 pair correlation is a quadratic form E^T G E of a (K, K) kernel matrix G
-in the K per-node factors E(tau).
+in the K per-node factors E(tau). Over the surface, Q(s) / 2 is a
+quadratic in s whose expansion about a centre splits into a factor per
+tau12, one per tau32 and one per node, so a group of nodes is a rank-K_g
+product times one exponential per point.
 
 The s integrals are K-node Gauss-Legendre sums. K follows from the
-curvature of the s-Gaussian (``_order``). Every exponential is evaluated
-as exp(-Q / 2) with Q >= 0, so no factor can overflow however long the
-walk-off. Work is chunked over the output points, so no temporary holds
-more than ``_CHUNK`` floats, and each output is one reduction over all
-nodes. A surface or line point costs K exponentials, a pair point K
-exponentials and a (K, K) matrix-vector product.
+curvature of the s-Gaussian (``_order``). The line and the pair evaluate
+every exponential as exp(-Q / 2) with Q >= 0; the surface's split factors
+stay within exp(+-_SPLIT_BOUND). So no factor can overflow however long
+the walk-off. Work is chunked over the output points, so no temporary
+holds more than ``_CHUNK`` floats, and each output is one reduction over
+all nodes. A line point costs K exponentials, a pair point K exponentials
+and a (K, K) matrix-vector product, and a surface of m12 x m32 points
+G m12 m32 + K (m12 + m32) exponentials, G the number of node groups (one
+at the default config).
 """
 
 from __future__ import annotations
@@ -45,6 +51,13 @@ from .spectra import FilterShape, FilterSpec, PhaseMatchConfig
 # Floats per temporary: 8 MiB, below the chirp-z buffer of the trapezoid
 # route at the default quadrature (n = 1024, 19.7 MB at m = 161).
 _CHUNK = 1 << 20
+
+# Largest exponent of any factor the surface's node sum is split into (see
+# w_surface). A factor exp(x) carries about |x| eps of relative rounding,
+# so this bounds it by ~2e-14. A smaller bound needs more node groups, each
+# m12 m32 exponentials: at 60 a 161^2 surface at sigma |t| = 400 took
+# 520 ms against 225 ms at 100, slower than K exponentials per point.
+_SPLIT_BOUND = 100.0
 
 # Ellipse parameters searched for the tightest quadrature error bound.
 _RHO = np.geomspace(1.01, 1e4, 400)
@@ -100,44 +113,46 @@ def _gaussian(filters: tuple[FilterSpec, ...], rows) -> tuple[np.ndarray, np.nda
 
 
 def _exp_sum(n_rows: int, row_size: int, half_q, reduce) -> np.ndarray:
-    """reduce(exp(-half_q(rows))) for every output row, the rows taken in
-    chunks of at most ``_CHUNK`` exponentials, or one row where a row holds
-    more; ``reduce`` maps the (rows, ...) exponentials to (rows, ...)."""
+    """reduce(exp(-half_q(rows)), rows) for every output row, the rows taken
+    in chunks of at most ``_CHUNK`` exponentials, or one row where a row
+    holds more; ``reduce`` maps the (rows, ...) exponentials to (rows, ...)."""
     step = max(1, _CHUNK // row_size)
     out = None
     for i in range(0, n_rows, step):
-        e = half_q(slice(i, i + step))
+        rows = slice(i, i + step)
+        e = half_q(rows)
         np.negative(e, out=e)
         np.exp(e, out=e)
-        part = reduce(e)
+        part = reduce(e, rows)
         if out is None:
             out = np.empty((n_rows,) + part.shape[1:])
-        out[i:i + step] = part
+        out[rows] = part
     return out
 
 
-def _w3_terms(cfg: PhaseMatchConfig, filters: tuple[FilterSpec, ...], tau12: np.ndarray,
-              tau32: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """The three-photon amplitude as sum_k w_k exp(i gamma s_k - Q(s_k) / 2):
-    the parts (u1, u3, v3) of Q / 2 = (u1 + u3)^2 + v3, node index last, and
-    the coefficients w_k exp(i gamma s_k) as (K, 2) real and imaginary parts.
+def _w3_form(cfg: PhaseMatchConfig, filters: tuple[FilterSpec, ...]
+             ) -> tuple[float, float, float, np.ndarray, np.ndarray]:
+    """The three-photon amplitude as sum_k c_k exp(-P(tau, s_k)): the
+    exponent's coefficients (h, g, v), the nodes s_k and the coefficients
+    c_k = w_k exp(i gamma s_k).
 
-    With C = M^-1, Q = C11 T1^2 + 2 C13 T1 T3 + C33 T3^2 is split into two
-    squares: u1 + u3 = sqrt(C11 / 2) (T1 + (C13 / C11) T3) and
-    v3 = (C33 - C13^2 / C11) T3^2 / 2.
+    With T = tau + s t and C = M^-1, Q = C11 T1^2 + 2 C13 T1 T3 + C33 T3^2
+    is split into two squares, P = Q / 2 = (h T1 + g T3)^2 + v T3^2, with
+    h = sqrt(C11 / 2), g = h C13 / C11 and v = (C33 - C13^2 / C11) / 2.
     """
     cov, mu = _gaussian(filters, ((1.0, 0.0), (-1.0, -1.0), (0.0, 1.0)))
     t = np.array([cfg.t12, cfg.t32])
     gamma = float(mu @ t)
     s, w = _legendre(_order(float(t @ cov @ t), gamma))
-    c = w * np.exp(1j * gamma * s)
     h = math.sqrt(0.5 * cov[0, 0])
-    t3 = tau32[..., None] + s * cfg.t32
-    parts = (h * (tau12[..., None] + s * cfg.t12), (h * cov[0, 1] / cov[0, 0]) * t3,
-             (0.5 * (cov[1, 1] - cov[0, 1] ** 2 / cov[0, 0])) * t3 * t3)
-    # real and imaginary coefficients side by side: one real matmul gives
-    # the amplitude as interleaved (..., 2) floats
-    return parts, np.stack((c.real, c.imag), axis=-1)
+    return (h, h * cov[0, 1] / cov[0, 0], 0.5 * (cov[1, 1] - cov[0, 1] ** 2 / cov[0, 0]),
+            s, w * np.exp(1j * gamma * s))
+
+
+def _pairs(c: np.ndarray) -> np.ndarray:
+    """Complex values as (..., 2) real and imaginary parts, so that a real
+    matmul gives a complex result's parts side by side."""
+    return np.stack((c.real, c.imag), axis=-1)
 
 
 def _half_q(u1: np.ndarray, u3: np.ndarray, v3: np.ndarray) -> np.ndarray:
@@ -147,23 +162,94 @@ def _half_q(u1: np.ndarray, u3: np.ndarray, v3: np.ndarray) -> np.ndarray:
     return e
 
 
+def _node_groups(s: np.ndarray, slope: float, spread: float, r: float) -> list[slice]:
+    """The fewest runs of the sorted nodes ``s`` over each of which the
+    surface's exponent splits within ``_SPLIT_BOUND`` (see ``w_surface``):
+    w (|slope + 2 r c| + spread) + r w^2 <= _SPLIT_BOUND for a run of
+    half-width w and centre c. A run that fits holds only sub-runs that
+    fit, so taking each run as long as it fits gives the fewest."""
+    groups = []
+    i = 0
+    while i < len(s):
+        w = 0.5 * (s[i:] - s[i])
+        fits = w * (np.abs(slope + r * (s[i:] + s[i])) + spread) + r * w * w <= _SPLIT_BOUND
+        j = len(s) if fits.all() else i + int(np.argmin(fits))
+        groups.append(slice(i, j))
+        i = j
+    return groups
+
+
 def w_surface(cfg: PhaseMatchConfig, filters: tuple[FilterSpec, ...],
               tau12: np.ndarray, tau32: np.ndarray) -> np.ndarray:
     """The W amplitude over tau12 x tau32, up to a constant factor and a
-    phase per point."""
-    (u1, u3, v3), coef = _w3_terms(cfg, filters, tau12, tau32)
-    amp = _exp_sum(len(tau12), u3.size, lambda rows: _half_q(u1[rows, None], u3, v3),
-                   lambda e: e @ coef)
-    return amp.view(complex)[..., 0]
+    phase per point.
+
+    P(tau, s) is quadratic in s. Around a centre c it reads
+
+        P(tau, c + x) = P(tau, c) + x (L1 tau12 + L3 tau32 + 2 r c) + r x^2,
+
+    with p = h t12 + g t32, r = p^2 + v t32^2, L1 = 2 h p and
+    L3 = 2 (g p + v t32). Over a group of nodes with centre c the sum is
+    then exp(-P(tau, c)) times sum_k c'_k a_k(tau12) b_k(tau32), with
+    a_k = exp(-x_k L1 (tau12 - o1)), b_k = exp(-x_k L3 (tau32 - o3)) and
+    the node-only rest folded into c'_k; o1 and o3 are the grids' centres.
+    With the real and imaginary parts of c'_k folded into a_k, that is one
+    real (2 m12, K_g) @ (K_g, m32) product and m12 m32 exponentials per
+    group. The groups (``_node_groups``) keep every split exponent
+    within +-_SPLIT_BOUND, and exp(-P(tau, c)) <= 1, so nothing overflows
+    and a term underflows only below exp(-(745 - _SPLIT_BOUND)).
+    """
+    h, g, v, s, c = _w3_form(cfg, filters)
+    p = h * cfg.t12 + g * cfg.t32
+    r = p * p + v * cfg.t32 * cfg.t32
+    l1 = 2.0 * h * p
+    l3 = 2.0 * (g * p + v * cfg.t32)
+    o1, o3 = (0.5 * (x.max() + x.min()) for x in (tau12, tau32))
+    slope = l1 * o1 + l3 * o3
+    spread = (abs(l1) * 0.5 * (tau12.max() - tau12.min())
+              + abs(l3) * 0.5 * (tau32.max() - tau32.min()))
+    groups = _node_groups(s, slope, spread, r)
+    centres = np.array([0.5 * (s[k.start] + s[k.stop - 1]) for k in groups])
+    factors = []
+    for k, centre in zip(groups, centres):
+        x = s[k] - centre
+        coef = _pairs(c[k] * np.exp(-x * (slope + 2.0 * r * centre) - r * x * x))
+        left = np.exp(np.multiply.outer(tau12 - o1, -l1 * x))[:, None] * coef.T
+        factors.append((left, np.exp(np.multiply.outer(-l3 * x, tau32 - o3))))
+    # the exponent at each group's centre
+    u1 = h * (tau12[:, None] + centres * cfg.t12)
+    t3 = tau32 + centres[:, None] * cfg.t32
+    u3 = g * t3
+    v3 = v * t3 * t3
+
+    def reduce(e, rows):
+        amp = None
+        for j, (left, right) in enumerate(factors):
+            part = (left[rows].reshape(-1, right.shape[0]) @ right).reshape(len(e), 2, -1)
+            part *= e[:, None, j]
+            if amp is None:
+                amp = part
+            else:
+                amp += part
+        return amp
+
+    amp = _exp_sum(len(tau12), u3.size, lambda rows: _half_q(u1[rows, :, None], u3, v3), reduce)
+    # (m12, 2, m32) real and imaginary parts to (m12, m32) complex
+    return np.ascontiguousarray(amp.transpose(0, 2, 1)).view(complex)[..., 0]
 
 
 def w_line(cfg: PhaseMatchConfig, filters: tuple[FilterSpec, ...],
            tau12: np.ndarray, tau32: np.ndarray) -> np.ndarray:
     """The W amplitude at the points (tau12[a], tau32[a]), up to a constant
-    factor and a phase per point."""
-    (u1, u3, v3), coef = _w3_terms(cfg, filters, tau12, tau32)
-    amp = _exp_sum(len(tau12), u1.shape[1],
-                   lambda rows: _half_q(u1[rows], u3[rows], v3[rows]), lambda e: e @ coef)
+    factor and a phase per point: K exponentials per point."""
+    h, g, v, s, c = _w3_form(cfg, filters)
+    t3 = tau32[:, None] + s * cfg.t32
+    u1 = h * (tau12[:, None] + s * cfg.t12)
+    u3 = g * t3
+    v3 = v * t3 * t3
+    coef = _pairs(c)
+    amp = _exp_sum(len(tau12), len(s), lambda rows: _half_q(u1[rows], u3[rows], v3[rows]),
+                   lambda e, rows: e @ coef)
     return amp.view(complex)[..., 0]
 
 
@@ -220,5 +306,5 @@ def w_pair(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec, tau: np.ndarra
         return e
 
     vals = _exp_sum(len(tau), len(s), half_q,
-                    lambda e: np.einsum("ij,ij->i", e @ kernel, e))
+                    lambda e, rows: np.einsum("ij,ij->i", e @ kernel, e))
     return vals, len(s) * (len(s) + 1) // 2

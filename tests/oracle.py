@@ -2,8 +2,9 @@
 
 Each one is written out element by element, from the physics, without
 the package's structured shortcuts: no 1-D tables, no Hankel view, no
-chirp-z and no factored exponents. Only the pair oracle integrates the
-frequencies in closed form, one envelope node pair at a time.
+chirp-z and no factored exponents. Only the node-sum oracles integrate
+the frequencies in closed form, one envelope node (or node pair) at a
+time.
 """
 
 import numpy as np
@@ -52,6 +53,30 @@ def w_surface_trapezoid(cfg, f1, f2, f3, quad, grids):
     e12, e32 = (np.exp(1j * np.outer(g.points(), nu)) for g in grids)
     amp = e12 @ F @ e32.T
     return normalize_to_peak(CorrelationSurface(grids, np.abs(amp) ** 2))
+
+
+def w_surface_node_sum(cfg, filters, tau12, tau32):
+    """The W amplitude over tau12 x tau32 as the sum over the continuum
+    engine's Gauss-Legendre envelope nodes s_k, one full grid of
+    exponentials per node, up to the engine's constant factor and phase
+    per point.
+
+    Each node is a 2-D Gaussian integral over (nu1, nu3) done in closed
+    form: with covariance C and centre mu of the filters, its value is
+    w_k exp(i gamma s_k - T^T C T / 2) at T = (tau12 + s_k t12,
+    tau32 + s_k t32), with gamma = mu . (t12, t32).
+    """
+    cov, mu = _gaussian(filters, ((1.0, 0.0), (-1.0, -1.0), (0.0, 1.0)))
+    t = np.array([cfg.t12, cfg.t32])
+    gamma = mu @ t
+    s, w = _legendre(_order(t @ cov @ t, gamma))
+    amp = np.zeros((len(tau12), len(tau32)), dtype=complex)
+    for sk, wk in zip(s, w):
+        T1 = (np.asarray(tau12, dtype=float) + sk * cfg.t12)[:, None]
+        T3 = (np.asarray(tau32, dtype=float) + sk * cfg.t32)[None, :]
+        Q = cov[0, 0] * T1 * T1 + 2.0 * cov[0, 1] * T1 * T3 + cov[1, 1] * T3 * T3
+        amp += wk * np.exp(1j * gamma * sk) * np.exp(-0.5 * Q)
+    return amp
 
 
 def w_pair_node_pairs(cfg, f1, f2, tau):

@@ -14,11 +14,13 @@ move. Nothing under ``perfbench/`` is edited.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-from triphoton import cli, correlators, modes, qubits
+from triphoton import cli, continuum, correlators, modes, qubits
+from triphoton.config import parse_config
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -97,6 +99,23 @@ def test_modes_matches_reference_at_every_bin_count(n_bins, tmp_path):
 @pytest.mark.parametrize("entry", FIGURE1_ENTRIES)
 def test_figure1_matches_reference_across_walk_off(entry, tmp_path):
     _run("figure1", "figure1", tmp_path, entry=entry)
+
+
+def test_figure1_pool_surfaces_sum_their_nodes_in_one_group(monkeypatch):
+    # every figure1 entry runs the continuum engine, and its surface is one
+    # rank-K product, one exponential per point, as at the default config
+    groups = []
+    real = continuum._node_groups
+    monkeypatch.setattr(continuum, "_node_groups",
+                        lambda *args: groups.append(real(*args)) or groups[-1])
+    for entry in FIGURE1_POOL:
+        cfg = parse_config(json.dumps(entry["config"]))
+        filters = cli._filters3(cfg)
+        assert correlators.w_temporal_method(*filters) == "continuum"
+        continuum.w_surface(cfg.phase_match, filters, cfg.grid("tau12_ps").points(),
+                            cfg.grid("tau32_ps").points())
+    assert len(groups) == len(FIGURE1_POOL) == 256
+    assert all(len(g) == 1 for g in groups)
 
 
 @pytest.mark.parametrize("kind", wl.CORRELATE_KINDS)

@@ -53,6 +53,7 @@ from oracle import (
     transverse_trapezoid,
     w_integrand,
     w_pair_node_pairs,
+    w_surface_node_sum,
     w_surface_trapezoid,
 )
 
@@ -281,7 +282,7 @@ def test_w_photon1_chirp_z_buffer_matches_direct_sum(cfg, f1, f2, quad, grid):
 
 # Continuum cases: (cfg, filters, tau12 grid, tau32 grid). The oracle is the
 # trapezoid at +-6 rad/ps, 15 sigma of the 0.4 rad/ps filters, where its
-# truncation is far below rounding; the distances read are 4.6e-14 at
+# truncation is far below rounding; the distances read are 4.9e-14 at
 # |t| = 200 ps and 1.7e-14 elsewhere.
 WIDE = QuadratureSpec(1024, 6.0)
 CONTINUUM_CASES = {
@@ -384,6 +385,84 @@ def test_continuum_chunks_agree_to_rounding(monkeypatch):
     assert len(blocks) == 3 and min(map(len, blocks)) > 1
     for got, ref in zip(chunked, whole):
         np.testing.assert_allclose(got.values, ref.values, rtol=1e-15, atol=1e-16)
+
+
+# Surface cases: (cfg, filters, tau12, tau32). The continuum surface sums
+# its envelope nodes in groups, each a rank-K_g product, and must give the
+# node sum it restructures. Beyond CONTINUUM_CASES: sigma |t| = 40, 80 and
+# 400 (K = 76, 149 and 765 nodes in 5, 18 and 321 groups), a +-500 ps grid
+# at the default config, whose extent alone splits the 20 nodes into 5
+# groups, and far-off filter centres. The distances read are 3.6e-14 of the
+# peak at most (far-off centres), 2.8e-14 at sigma |t| = 400.
+SURFACE_CASES = {
+    **{name: (cfg, filters, g12.points(), g32.points())
+       for name, (cfg, filters, g12, g32) in CONTINUUM_CASES.items()},
+    **{f"sigma_t_{st}": (PhaseMatchConfig(-st / 0.4, -st / 0.4), (GAUSS, GAUSS, GAUSS),
+                         Grid1D(-st / 8, st / 40, 121).points(),
+                         Grid1D(-st / 8, st / 40, 121).points())
+       for st in (40, 80, 400)},
+    "grid_500ps": (CFG, (GAUSS, GAUSS, GAUSS), Grid1D(-500.0, 6.25, 161).points(),
+                   Grid1D(-500.0, 6.25, 161).points()),
+    "far_off_centres": (PhaseMatchConfig(-103.0, -13.0),
+                        (FilterSpec("gaussian", 0.21, center_offset=1.5),
+                         FilterSpec("gaussian", 0.36, center_offset=0.7),
+                         FilterSpec("gaussian", 0.3, center_offset=-0.4)),
+                        Grid1D(-20.0, 143.0 / 300, 301).points(),
+                        Grid1D(-5.0, 0.25, 101).points()),
+}
+
+
+@pytest.mark.parametrize("case", SURFACE_CASES)
+def test_continuum_surface_matches_node_sum(case):
+    cfg, filters, tau12, tau32 = SURFACE_CASES[case]
+    fast = np.abs(continuum.w_surface(cfg, filters, tau12, tau32)) ** 2
+    oracle = np.abs(w_surface_node_sum(cfg, filters, tau12, tau32)) ** 2
+    assert np.abs(fast - oracle).max() <= 1e-13 * oracle.max()
+
+
+def test_continuum_surface_groups_agree(monkeypatch):
+    # a smaller split bound cuts the default config's 20 nodes into several
+    # groups; the sum is the same to rounding
+    cfg, filters, tau12, tau32 = SURFACE_CASES["equal"]
+    seen = []
+    real = continuum._node_groups
+    monkeypatch.setattr(continuum, "_node_groups",
+                        lambda *args: seen.append(real(*args)) or seen[-1])
+    one = np.abs(continuum.w_surface(cfg, filters, tau12, tau32)) ** 2
+    monkeypatch.setattr(continuum, "_SPLIT_BOUND", 5.0)
+    split = np.abs(continuum.w_surface(cfg, filters, tau12, tau32)) ** 2
+    assert len(seen[0]) == 1 and len(seen[1]) >= 3
+    assert np.abs(split - one).max() <= 1e-14 * one.max()
+
+
+@pytest.mark.parametrize("walk_off", [200.0, 1000.0])
+@pytest.mark.parametrize("filters", [(GAUSS, GAUSS, GAUSS),
+                                     (FilterSpec("gaussian", 0.3, center_offset=1.2),
+                                      FilterSpec("gaussian", 0.5, center_offset=-0.8),
+                                      FilterSpec("gaussian", 0.35, center_offset=0.6))])
+def test_continuum_surface_cannot_overflow(walk_off, filters):
+    # every split factor stays within exp(+-_SPLIT_BOUND) and each group's
+    # centre factor is at most 1, so ~700 nodes and tails that underflow
+    # raise nothing
+    cfg = PhaseMatchConfig(-walk_off, -0.7 * walk_off)
+    tau = Grid1D(-0.2 * walk_off, 1.6 * walk_off / 200, 201).points()
+    with np.errstate(over="raise", invalid="raise"):
+        amp = continuum.w_surface(cfg, filters, tau, tau)
+    assert np.all(np.isfinite(amp)) and np.abs(amp).max() > 0.0
+
+
+def test_continuum_surface_costs_one_exponential_per_point(monkeypatch):
+    # the default config's 20 nodes form one group: one exponential per
+    # point and K per grid value, where a node sum takes K per point (518k)
+    cfg, filters = CFG, (GAUSS, GAUSS, GAUSS)
+    tau12 = tau32 = Grid1D(0.0, 0.25, 161).points()
+    cov, mu = continuum._gaussian(filters, ((1.0, 0.0), (-1.0, -1.0), (0.0, 1.0)))
+    t = np.array([cfg.t12, cfg.t32])
+    k = continuum._order(t @ cov @ t, mu @ t)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(continuum, "np", counting)
+    continuum.w_surface(cfg, filters, tau12, tau32)
+    assert 0 < counting.evaluated <= len(tau12) * len(tau32) + k * (len(tau12) + len(tau32) + 4)
 
 
 # Pair cases: (cfg, f1, f2, delays). The continuum pair's kernel quadratic

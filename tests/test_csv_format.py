@@ -103,3 +103,34 @@ def test_masking_every_point_leaves_the_header(tmp_path, axes):
     names = ("tau12_ps", "tau32_ps")[:len(axes)]
     cli.write_surface_csv(tmp_path / "m.csv", names, "g", surface, mask_negative_axis=True)
     assert (tmp_path / "m.csv").read_bytes() == (",".join(names) + ",g\n").encode()
+
+
+def test_surface_blocks_are_written_as_they_are_built(tmp_path, monkeypatch):
+    # a 161 x 161 surface is 7 blocks of rows; each is written before the
+    # next is built, so the file's text is never held whole
+    events = []
+    rows, write = cli._csv_rows, cli._write_text
+
+    def built(*args):
+        for block in rows(*args):
+            events.append("built")
+            yield block
+
+    def written(path, parts):
+        def logged():
+            for part in parts:
+                yield part
+                events.append("written")
+        write(path, logged())
+
+    monkeypatch.setattr(cli, "_csv_rows", built)
+    monkeypatch.setattr(cli, "_write_text", written)
+    grid = Grid1D(0.0, 0.25, 161)
+    values = np.random.default_rng(5).uniform(0.0, 1.0, (161, 161))
+    cli.write_surface_csv(tmp_path / "s.csv", ("x", "y"), "v",
+                          CorrelationSurface((grid, grid), values))
+    assert events == ["written"] + ["built", "written"] * 7
+    text = (tmp_path / "s.csv").read_bytes()
+    assert text == b"x,y,v\n" + "".join(
+        f"{a:.12e},{b:.12e},{v:.12e}\n" for a, row in zip(grid.points(), values)
+        for b, v in zip(grid.points(), row)).encode()

@@ -49,8 +49,6 @@ from .modes import (
     TriphotonTensor,
     build_ghz_discrete,
     build_w_discrete,
-    purity,
-    reduce_lost_photon,
 )
 from .qubits import (
     DensityMatrix,

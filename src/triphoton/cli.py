@@ -21,7 +21,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -109,132 +109,11 @@ def _all_or_nothing():
         raise
 
 
-# CSV cells are formatted by numpy into 24-byte fields of six uint32 words:
-# [sign, lead digit, '.', -], three words of four digits, then
-# [e, exponent sign, hundreds, tens] [units, -, -, separator]. An absent
-# sign or hundreds digit and every "-" is a NUL byte; removing the NULs
-# leaves exactly "%.12e" followed by the separator.
-_WORDS = 6
-_FAST_RANGE = (1e-280, 1e280)
-# decimal exponents and the powers of ten that scale them to 13 digits stay
-# within +-_EXP_LIMIT for |v| in _FAST_RANGE
-_EXP_LIMIT = 300
-# the scaled value takes at most three roundings, an error below 0.004 at
-# 1e13; a cell this close to a rounding tie is formatted by Python instead
-_TIE_MARGIN = 0.01
-_BLOCK_CELLS = 4096  # CSV rows built per block
-
-
-@functools.cache
-def _e12_tables() -> tuple[np.ndarray, ...]:
-    """Lookup tables of the vectorized ``%.12e``: the three factors of
-    10**k, four-digit words, [sign, lead, '.'] words and exponent words."""
-    k = np.arange(-_EXP_LIMIT, _EXP_LIMIT + 1)
-    exact = np.array([float(10 ** j) for j in range(23)])  # exact binary64
-    inner = np.clip(k, -22, 22)
-    mul = exact[np.maximum(inner, 0)]
-    div = exact[np.maximum(-inner, 0)]
-    extra = np.array([float(f"1e{j}") for j in (k - inner).tolist()])
-    d = np.arange(100, dtype=np.uint8)
-    pairs = np.stack([d // 10, d % 10], axis=1) + 48  # "00" .. "99"
-    quads = np.empty((100, 100, 4), dtype=np.uint8)  # "0000" .. "9999"
-    quads[:, :, :2] = pairs[:, None]
-    quads[:, :, 2:] = pairs[None, :]
-    head = np.zeros((2, 10, 4), dtype=np.uint8)
-    head[1, :, 0] = ord("-")
-    head[:, :, 1] = 48 + np.arange(10)
-    head[:, :, 2] = ord(".")
-    tail = np.zeros((k.size, 8), dtype=np.uint8)  # exponent k
-    tail[:, 0] = ord("e")
-    tail[:, 1] = np.where(k < 0, ord("-"), ord("+"))
-    tail[:, 2] = np.where(abs(k) >= 100, 48 + abs(k) // 100, 0)
-    tail[:, 3] = 48 + abs(k) // 10 % 10
-    tail[:, 4] = 48 + abs(k) % 10
-    return (mul, div, extra, quads.view(np.uint32).ravel(),
-            head.view(np.uint32).ravel(), tail.view(np.uint64).ravel())
-
-
-def _scaled(a: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """a * 10**(12 - e): one rounding when |12 - e| <= 22, three beyond."""
-    mul, div, extra = _e12_tables()[:3]
-    i = _EXP_LIMIT + 12 - e
-    return a * mul[i] / div[i] * extra[i]
-
-
-def _e12_fallback(x: np.ndarray) -> np.ndarray:
-    """Python's own ``%.12e`` of each value, as NUL-padded fields."""
-    texts = np.array([_fmt(v) for v in x.tolist()], dtype=f"S{4 * _WORDS}")
-    return texts.view(np.uint32).reshape(-1, _WORDS)
-
-
-def _e12_fields(x: np.ndarray, sep: str) -> np.ndarray:
-    """``'%.12e' % v + sep`` for every value of ``x`` as (x.size, 6) uint32
-    fields (see ``_WORDS``).
-
-    The 13 significant digits are rint(|v|·10**(12−e)) with e the decimal
-    exponent. A cell is formatted here only if that scaled value is provably
-    rounded the way Python rounds |v|: |v| in ``_FAST_RANGE`` (or zero), the
-    scaled value in [1e12, 1e13) and at least ``_TIE_MARGIN`` from a tie.
-    Every other cell goes to ``_e12_fallback``.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    a = np.abs(x)
-    zero = a == 0.0
-    fast = (a >= _FAST_RANGE[0]) & (a <= _FAST_RANGE[1])
-    a = np.where(fast, a, 1.0)  # zeros and fallback cells scale 1.0: e = 0
-    e = np.floor(np.log10(a)).astype(np.int64)
-    s = _scaled(a, e)
-    off = (s >= 1e13).astype(np.int64) - (s < 1e12)
-    if off.any():  # log10 rounded across a power of ten
-        e += off
-        s = _scaled(a, e)
-    m = np.rint(s)
-    proven = ((fast | zero) & (s >= 1e12) & (s < 1e13)
-              & (np.abs(np.abs(s - m) - 0.5) >= _TIE_MARGIN))
-    m = m.astype(np.int64)
-    carry = m == 10 ** 13  # 9.9999999999995 rounds up to 10
-    m[carry] = 10 ** 12
-    e += carry
-    m[zero] = 0
-    _, _, _, quads, head, tail = _e12_tables()
-    q1 = m // 10000
-    q2 = q1 // 10000
-    lead = q2 // 10000
-    fields = np.empty((x.size, _WORDS), dtype=np.uint32)
-    fields[:, 0] = head[10 * np.signbit(x) + lead]
-    fields[:, 1] = quads[q2 - 10000 * lead]
-    fields[:, 2] = quads[q1 - 10000 * q2]
-    fields[:, 3] = quads[m - 10000 * q1]
-    fields.view(np.uint64)[:, 2] = tail[e + _EXP_LIMIT]
-    slow = ~proven
-    if slow.any():
-        fields[slow] = _e12_fallback(x[slow])
-    fields.view(np.uint8)[:, -1] = ord(sep)
-    return fields
-
-
-def _csv_rows(axes: list[np.ndarray], vals: np.ndarray) -> Iterator[bytearray]:
-    """The CSV rows of ``vals`` over one or two ``axes``, one block at a time."""
-    lead = _e12_fields(axes[0], ",")
-    # a curve's rows hold one empty group of second-axis fields
-    rest = _e12_fields(axes[1], ",") if len(axes) == 2 else np.empty((1, 0), np.uint32)
-    cells = vals.reshape(len(lead), len(rest))
-    step = max(1, _BLOCK_CELLS // max(1, len(rest)))
-    width = (len(axes) + 1) * _WORDS
-    for i in range(0, len(lead), step):
-        block = cells[i:i + step]
-        buf = bytearray(4 * width * block.size)  # filled through a view, never copied
-        rows = np.frombuffer(buf, dtype=np.uint32).reshape(*block.shape, width)
-        rows[..., :_WORDS] = lead[i:i + step, None]
-        rows[..., _WORDS:-_WORDS] = rest
-        rows[..., -_WORDS:] = _e12_fields(block, "\n").reshape(*block.shape, _WORDS)
-        yield buf.translate(None, b"\0")
-
-
 def write_surface_csv(path: Path, axis_names: tuple[str, ...], value_name: str,
                       surface: CorrelationSurface, mask_negative_axis: bool = False) -> None:
     """One row per sample of a curve or surface: its axis values, then its
     value. ``mask_negative_axis`` drops the negative values of every axis."""
+    from . import csvtext  # imported here: commands that write no CSV never load it
     axes = [g.points() for g in surface.axes]
     vals = surface.values
     if mask_negative_axis:
@@ -242,7 +121,7 @@ def write_surface_csv(path: Path, axis_names: tuple[str, ...], value_name: str,
         vals = vals[np.ix_(*keep)]
         axes = [xs[k] for xs, k in zip(axes, keep)]
     header = ",".join((*axis_names, value_name)) + "\n"
-    _write_text(path, itertools.chain((header,), _csv_rows(axes, vals)))
+    _write_text(path, itertools.chain((header,), csvtext.csv_rows(axes, vals)))
 
 
 def _write_json(path: Path, payload: dict[str, Any]) -> None:

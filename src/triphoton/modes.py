@@ -19,9 +19,8 @@ plane, so the n heralded vectors sit in n distinct conservation sectors
 and the reduced pair state is their orthogonal direct sum. The tensor
 therefore reads the pair state's figures (negativity, purity, largest
 off-diagonal element, sector sizes) straight off A, from n^2 numbers
-instead of the n^4 of the dense n^2 x n^2 ``DensityMatrix`` that
-``reduce_lost_photon`` builds; that dense reducer stays as the
-reference implementation.
+instead of the n^4 of the dense n^2 x n^2 density matrix; the tests
+keep that dense reduction (``tests/oracle.py``) as the reference.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import numpy as np
 
 from .correlators import _w_integrand
 from .errors import DegenerateInputError, InvalidArgumentError
-from .qubits import DensityMatrix
 from .spectra import FilterSpec, PhaseMatchConfig, detuning_ghz, filter_eval, phi
 
 
@@ -124,7 +122,7 @@ class TriphotonTensor:
     def pair_negativity(self) -> float:
         """Sum of |negative eigenvalues| of the pair state's partial
         transpose across the photon cut, as ``qubits.negativity(rho, (0,))``
-        on ``reduce_lost_photon(self)``.
+        on the dense reduced pair state rho.
 
         Transposing photon 1 maps <a, b|rho|a', b'> to <a', b|rho|a, b'>,
         which is zero unless a - b = a' - b'. The partial transpose is
@@ -217,34 +215,3 @@ def build_ghz_discrete(cfg: PhaseMatchConfig, filters: tuple[FilterSpec, FilterS
             * phi(detuning_ghz(nu, cfg)))
     on = np.diag(grid.partner_bins()) >= 0
     return TriphotonTensor(np.diag(_normalize(np.where(on, amps, 0.0))), grid)
-
-
-def reduce_lost_photon(state: TriphotonTensor) -> DensityMatrix:
-    """Trace the lost photon out of a triphoton state.
-
-    Each lost-photon bin k heralds the pair vector
-    |chi_k> = sum_i A[i, k] |i>|j(i,k)>; the reduction is the mixture of
-    their projectors over the n*n pair space. A column with several
-    nonzero entries heralds an entangled vector; the diagonal
-    degenerate-pair tensor heralds the product |k>|j(k,k)> from every
-    column, so its reduction is a diagonal, separable mixture.
-    """
-    n = state.grid.n_bins
-    partner = state.grid.partner_bins()
-    rho = np.zeros((n * n, n * n), dtype=complex)
-    for k in range(n):
-        col = state.amplitudes[:, k]
-        bins = partner[:, k]
-        live = bins >= 0
-        if not np.any(live):
-            continue
-        chi = np.zeros(n * n, dtype=complex)
-        flat = np.arange(n)[live] * n + bins[live]
-        np.add.at(chi, flat, col[live])
-        rho += np.outer(chi, chi.conj())
-    return DensityMatrix(rho, (n, n))
-
-
-def purity(rho: DensityMatrix) -> float:
-    """tr(rho^2): 1 for pure states, 1/d for the maximally mixed state."""
-    return float(np.real(np.trace(rho.matrix @ rho.matrix)))

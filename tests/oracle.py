@@ -11,6 +11,7 @@ import numpy as np
 
 from triphoton import CorrelationSurface, InvalidArgumentError, normalize_to_peak
 from triphoton.continuum import _gaussian, _legendre, _order
+from triphoton.qubits import DensityMatrix
 from triphoton.spectra import filter_eval, phi
 
 
@@ -134,3 +135,35 @@ def transverse_trapezoid(window, rho, kernel=1.0, power=1):
     w[[0, -1]] *= 0.5
     kernel_matrix = np.exp(1j * kernel * np.outer(np.atleast_1d(rho), alpha))
     return kernel_matrix @ (w * window_eval(window, alpha) ** power)
+
+
+def reduce_lost_photon(state):
+    """Trace the lost photon out of a ``TriphotonTensor``, as a dense
+    n^2 x n^2 ``DensityMatrix``.
+
+    Each lost-photon bin k heralds the pair vector
+    |chi_k> = sum_i A[i, k] |i>|j(i,k)>; the reduction is the mixture of
+    their projectors over the n*n pair space. A column with several
+    nonzero entries heralds an entangled vector; the diagonal
+    degenerate-pair tensor heralds the product |k>|j(k,k)> from every
+    column, so its reduction is a diagonal, separable mixture.
+    """
+    n = state.grid.n_bins
+    partner = state.grid.partner_bins()
+    rho = np.zeros((n * n, n * n), dtype=complex)
+    for k in range(n):
+        col = state.amplitudes[:, k]
+        bins = partner[:, k]
+        live = bins >= 0
+        if not np.any(live):
+            continue
+        chi = np.zeros(n * n, dtype=complex)
+        flat = np.arange(n)[live] * n + bins[live]
+        np.add.at(chi, flat, col[live])
+        rho += np.outer(chi, chi.conj())
+    return DensityMatrix(rho, (n, n))
+
+
+def purity(rho):
+    """tr(rho^2): 1 for pure states, 1/d for the maximally mixed state."""
+    return float(np.real(np.trace(rho.matrix @ rho.matrix)))

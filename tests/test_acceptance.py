@@ -40,14 +40,13 @@ from triphoton import (
     parse_config,
     partial_trace,
     phi,
-    reduce_lost_photon,
     serialize_config,
     w_temporal_panels,
 )
 from triphoton.correlators import required_span
 from triphoton.cli import main
 
-from oracle import transverse_trapezoid
+from oracle import reduce_lost_photon, transverse_trapezoid
 
 CFG = PhaseMatchConfig(-20.0, -20.0)
 GAUSS = FilterSpec("gaussian", 0.4)

@@ -60,6 +60,31 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("argv,writes_csv", [
+    (["figure1"], True),
+    (["correlate", "--state", "w111", "--domain", "space", "--order", "3"], True),
+    (["correlate", "--state", "ghz12", "--domain", "space", "--order", "2"], False),
+    (["modes"], False),
+    (["sweep", "--param", "filter_sigma", "--values", "0.4"], False),
+])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, writes_csv):
+    # each module a command loads is compiled (or read) in every fresh
+    # process; the CSV formatter loads only where a curve or surface is
+    # written, and no command pulls in scipy or the exact-arithmetic modules
+    src = str(Path(triphoton.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = ("import sys; from triphoton import cli; code = cli.main(sys.argv[1:]); "
+             "print(code, *sorted(m for m in sys.modules if m.split('.')[0] in "
+             "('triphoton', 'scipy', 'fractions', 'decimal')))")
+    out = subprocess.run([sys.executable, "-c", probe, *argv, "--out", str(tmp_path / "out")],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
+    code, *loaded = out.stdout.split()
+    assert code == "0"
+    assert ("triphoton.csvtext" in loaded) == writes_csv
+    assert [m for m in loaded if not m.startswith("triphoton")] == []
+
+
 def test_empty_document_gives_reference_defaults():
     cfg = parse_config("{}")
     assert cfg.phase_match.t12 == -20.0

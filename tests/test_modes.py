@@ -19,11 +19,11 @@ from triphoton import (
     g2_w_temporal,
     negativity,
     normalize_to_peak,
-    purity,
-    reduce_lost_photon,
 )
 from triphoton.correlators import _w_integrand
 from triphoton.qubits import DensityMatrix
+
+from oracle import purity, reduce_lost_photon
 
 CFG = PhaseMatchConfig(-20.0, -20.0)
 GAUSS = FilterSpec("gaussian", 0.4)

@@ -62,6 +62,9 @@ _SPLIT_BOUND = 100.0
 # Ellipse parameters searched for the tightest quadrature error bound.
 _RHO = np.geomspace(1.01, 1e4, 400)
 
+# (h, g, v, s, c) of the three-photon amplitude; see w_form
+WForm = tuple[float, float, float, np.ndarray, np.ndarray]
+
 
 @functools.lru_cache(maxsize=64)
 def _legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -130,11 +133,10 @@ def _exp_sum(n_rows: int, row_size: int, half_q, reduce) -> np.ndarray:
     return out
 
 
-def _w3_form(cfg: PhaseMatchConfig, filters: tuple[FilterSpec, ...]
-             ) -> tuple[float, float, float, np.ndarray, np.ndarray]:
+def w_form(cfg: PhaseMatchConfig, filters: tuple[FilterSpec, ...]) -> WForm:
     """The three-photon amplitude as sum_k c_k exp(-P(tau, s_k)): the
     exponent's coefficients (h, g, v), the nodes s_k and the coefficients
-    c_k = w_k exp(i gamma s_k).
+    c_k = w_k exp(i gamma s_k). The surface and the line both read it.
 
     With T = tau + s t and C = M^-1, Q = C11 T1^2 + 2 C13 T1 T3 + C33 T3^2
     is split into two squares, P = Q / 2 = (h T1 + g T3)^2 + v T3^2, with
@@ -179,10 +181,11 @@ def _node_groups(s: np.ndarray, slope: float, spread: float, r: float) -> list[s
     return groups
 
 
-def w_surface(cfg: PhaseMatchConfig, filters: tuple[FilterSpec, ...],
-              tau12: np.ndarray, tau32: np.ndarray) -> np.ndarray:
-    """The W amplitude over tau12 x tau32, up to a constant factor and a
-    phase per point.
+def w_surface_parts(cfg: PhaseMatchConfig, form: WForm, tau12: np.ndarray,
+                    tau32: np.ndarray) -> np.ndarray:
+    """The W amplitude over tau12 x tau32 from its ``w_form``, up to a
+    constant factor and a phase per point, as (m12, 2, m32) real and
+    imaginary parts.
 
     P(tau, s) is quadratic in s. Around a centre c it reads
 
@@ -199,7 +202,7 @@ def w_surface(cfg: PhaseMatchConfig, filters: tuple[FilterSpec, ...],
     within +-_SPLIT_BOUND, and exp(-P(tau, c)) <= 1, so nothing overflows
     and a term underflows only below exp(-(745 - _SPLIT_BOUND)).
     """
-    h, g, v, s, c = _w3_form(cfg, filters)
+    h, g, v, s, c = form
     p = h * cfg.t12 + g * cfg.t32
     r = p * p + v * cfg.t32 * cfg.t32
     l1 = 2.0 * h * p
@@ -233,16 +236,23 @@ def w_surface(cfg: PhaseMatchConfig, filters: tuple[FilterSpec, ...],
                 amp += part
         return amp
 
-    amp = _exp_sum(len(tau12), u3.size, lambda rows: _half_q(u1[rows, :, None], u3, v3), reduce)
-    # (m12, 2, m32) real and imaginary parts to (m12, m32) complex
+    return _exp_sum(len(tau12), u3.size, lambda rows: _half_q(u1[rows, :, None], u3, v3),
+                    reduce)
+
+
+def w_surface(cfg: PhaseMatchConfig, filters: tuple[FilterSpec, ...],
+              tau12: np.ndarray, tau32: np.ndarray) -> np.ndarray:
+    """``w_surface_parts`` as an (m12, m32) complex array."""
+    amp = w_surface_parts(cfg, w_form(cfg, filters), tau12, tau32)
     return np.ascontiguousarray(amp.transpose(0, 2, 1)).view(complex)[..., 0]
 
 
-def w_line(cfg: PhaseMatchConfig, filters: tuple[FilterSpec, ...],
-           tau12: np.ndarray, tau32: np.ndarray) -> np.ndarray:
-    """The W amplitude at the points (tau12[a], tau32[a]), up to a constant
-    factor and a phase per point: K exponentials per point."""
-    h, g, v, s, c = _w3_form(cfg, filters)
+def w_line(cfg: PhaseMatchConfig, form: WForm, tau12: np.ndarray,
+           tau32: np.ndarray) -> np.ndarray:
+    """The W amplitude at the points (tau12[a], tau32[a]) from its
+    ``w_form``, up to a constant factor and a phase per point: K
+    exponentials per point."""
+    h, g, v, s, c = form
     t3 = tau32[:, None] + s * cfg.t32
     u1 = h * (tau12[:, None] + s * cfg.t12)
     u3 = g * t3

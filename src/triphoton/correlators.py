@@ -49,7 +49,7 @@ matters, not either sign alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -292,9 +292,20 @@ def _total(density: np.ndarray, method: Method) -> float:
     return float(density.sum())
 
 
+def _normalized(axes: tuple[Grid1D, ...], values: np.ndarray) -> CorrelationSurface:
+    """``values`` over ``axes`` divided by their peak, validated once, after
+    the division: dividing by a positive peak leaves a NaN or infinity
+    non-finite and a negative value negative, so the checks fail where
+    they would have failed on the raw values."""
+    peak = float(values.max())
+    if peak <= 0.0:
+        raise DegenerateInputError("cannot normalize an all-zero surface")
+    return CorrelationSurface(axes, values / peak, normalized=True)
+
+
 def _intensity(grids: tuple[Grid1D, ...], amp: np.ndarray) -> CorrelationSurface:
     """|amp|^2 over ``grids``, normalized to its peak."""
-    return normalize_to_peak(CorrelationSurface(grids, amp.real**2 + amp.imag**2))
+    return _normalized(grids, amp.real**2 + amp.imag**2)
 
 
 def _w_integrand(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
@@ -369,7 +380,7 @@ def _w_photon1(cfg: PhaseMatchConfig, filters: tuple[FilterSpec, ...], quad: Qua
 
 
 def _w_pair(w: np.ndarray, inner: np.ndarray, grid: Grid1D) -> CorrelationSurface:
-    return normalize_to_peak(CorrelationSurface((grid,), w @ (inner.real**2 + inner.imag**2)))
+    return _normalized((grid,), w @ (inner.real**2 + inner.imag**2))
 
 
 def _w_surface(nu: np.ndarray, c3: np.ndarray, inner: np.ndarray,
@@ -381,6 +392,25 @@ def _w_conditional(cfg: PhaseMatchConfig, nu: np.ndarray, c3: np.ndarray, inner:
                    grid: Grid1D) -> CorrelationSurface:
     tau32 = abs(cfg.t12) - grid.points()
     return _intensity((grid,), (c3[:, None] * inner * np.exp(1j * np.outer(nu, tau32))).sum(axis=0))
+
+
+def _continuum_surface(cfg: PhaseMatchConfig, form: continuum.WForm,
+                       grids: tuple[Grid1D, Grid1D]) -> CorrelationSurface:
+    # |amp|^2 straight from the real and imaginary parts
+    amp = continuum.w_surface_parts(cfg, form, grids[0].points(), grids[1].points())
+    return _normalized(grids, amp[:, 0] ** 2 + amp[:, 1] ** 2)
+
+
+def _continuum_conditional(cfg: PhaseMatchConfig, form: continuum.WForm,
+                           grid: Grid1D) -> CorrelationSurface:
+    tau12 = grid.points()
+    return _intensity((grid,), continuum.w_line(cfg, form, tau12, abs(cfg.t12) - tau12))
+
+
+def _continuum_pair(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
+                    grid: Grid1D) -> CorrelationSurface:
+    vals, terms = continuum.w_pair(cfg, f1, f2, grid.points())
+    return _normalized((grid,), _clip_rounding(vals, terms))
 
 
 def g2_w_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
@@ -408,8 +438,7 @@ def g2_w_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
     """
     if method == "continuum":
         quad.validate_for(cfg, (f1, f2))
-        vals, terms = continuum.w_pair(cfg, f1, f2, grid.points())
-        return normalize_to_peak(CorrelationSurface((grid,), _clip_rounding(vals, terms)))
+        return _continuum_pair(cfg, f1, f2, grid)
     if method == "quad":
         nu, w, inner = _w_photon1(cfg, (f1, f2), quad, grid, method)
         return _w_pair(w, inner, grid)
@@ -433,7 +462,7 @@ def g2_w_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec,
     dnu = (nu[-1] - nu[0]) / (n - 1)
     amp = czt(R[:n], grid.count, np.exp(1j * dnu * grid.step), np.exp(-1j * dnu * grid.start))
     vals = 2.0 * amp.real - R[0].real
-    return normalize_to_peak(CorrelationSurface((grid,), _clip_rounding(vals, n)))
+    return _normalized((grid,), _clip_rounding(vals, n))
 
 
 # The autocorrelation route's error is absolute: a rounding floor of order
@@ -467,8 +496,7 @@ def g3_w_temporal(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec, f3: Fil
     """
     if method == "continuum":
         quad.validate_for(cfg, (f1, f2, f3))
-        return _intensity(grids, continuum.w_surface(cfg, (f1, f2, f3), grids[0].points(),
-                                                     grids[1].points()))
+        return _continuum_surface(cfg, continuum.w_form(cfg, (f1, f2, f3)), grids)
     nu, w, inner = _w_photon1(cfg, (f1, f2, f3), quad, grids[0], method)
     return _w_surface(nu, w * filter_eval(f3, nu), inner, grids, method)
 
@@ -484,9 +512,7 @@ def g3_w_conditional(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec, f3: 
     """
     if method == "continuum":
         quad.validate_for(cfg, (f1, f2, f3))
-        tau12 = grid.points()
-        return _intensity((grid,), continuum.w_line(cfg, (f1, f2, f3), tau12,
-                                                    abs(cfg.t12) - tau12))
+        return _continuum_conditional(cfg, continuum.w_form(cfg, (f1, f2, f3)), grid)
     nu, w, inner = _w_photon1(cfg, (f1, f2, f3), quad, grid, method)
     return _w_conditional(cfg, nu, w * filter_eval(f3, nu), inner, grid)
 
@@ -497,14 +523,19 @@ def w_temporal_panels(cfg: PhaseMatchConfig, f1: FilterSpec, f2: FilterSpec, f3:
     """The three W temporal correlators of Fig. 1: ``(surface, conditional,
     pair)``, the surface over ``grids`` and both curves on ``grids[0]``.
     On ``fft`` and ``quad`` they come from one integrand and one photon-1
-    transform. The surface and the slice equal what ``g3_w_temporal`` and
-    ``g3_w_conditional`` return; the pair equals ``g2_w_temporal`` on
-    ``quad`` and ``continuum``, and agrees with its fft route to rounding.
+    transform; on ``continuum`` the surface and the slice share one
+    ``continuum.w_form``, and all three one span check. The surface and the
+    slice equal what ``g3_w_temporal`` and ``g3_w_conditional`` return; the
+    pair equals ``g2_w_temporal`` on ``quad`` and ``continuum``, and agrees
+    with its fft route to rounding.
     """
     if method == "continuum":
-        return (g3_w_temporal(cfg, f1, f2, f3, quad, grids, method=method),
-                g3_w_conditional(cfg, f1, f2, f3, quad, grids[0], method=method),
-                g2_w_temporal(cfg, f1, f2, quad, grids[0], method=method))
+        # the span check for all three filters covers the pair's two
+        quad.validate_for(cfg, (f1, f2, f3))
+        form = continuum.w_form(cfg, (f1, f2, f3))
+        return (_continuum_surface(cfg, form, grids),
+                _continuum_conditional(cfg, form, grids[0]),
+                _continuum_pair(cfg, f1, f2, grids[0]))
     nu, w, inner = _w_photon1(cfg, (f1, f2, f3), quad, grids[0], method)
     c3 = w * filter_eval(f3, nu)
     return (_w_surface(nu, c3, inner, grids, method),
@@ -601,10 +632,7 @@ def g2_ghz_spatial(window: TransverseWindow, *, method: Method = "fft") -> float
 
 def normalize_to_peak(surface: CorrelationSurface) -> CorrelationSurface:
     """Divide by the maximum value and set the normalized flag. Idempotent."""
-    peak = float(surface.values.max())
-    if peak <= 0.0:
-        raise DegenerateInputError("cannot normalize an all-zero surface")
-    return replace(surface, values=surface.values / peak, normalized=True)
+    return _normalized(surface.axes, surface.values)
 
 
 def fwhm(surface: CorrelationSurface) -> float:

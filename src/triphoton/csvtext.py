@@ -1,12 +1,16 @@
 """Python's ``'%.12e' % v`` for whole arrays, laid out as CSV rows.
 
 Each cell's sign, 13-digit mantissa and decimal exponent are computed in
-numpy, the mantissa rounded exactly as Python rounds it. The text is then
-laid out as one fixed-width record per cell, built from word-sized copies
-out of lookup tables: the lead digit and '.', three four-digit words, the
-exponent word and the separator. Python's own ``%.12e`` formats only the
-cells the scaling cannot decide: |v| outside ``_FAST_RANGE`` (zeros
-excepted), non-finite values and near-exact rounding ties.
+numpy, the mantissa rounded exactly as Python rounds it: one product
+|v|·10**(12 - e) settles almost every cell, and the few it leaves unsure
+take Dekker's exact product. The text is then laid out as one fixed-width
+record per cell, built from word-sized copies out of lookup tables: the
+lead digit and '.', three four-digit words, the exponent word and the
+separator. A CSV row is its axis records and its value record, laid
+straight into one buffer that every block of a file reuses. Python's own
+``%.12e`` formats only the cells the scaling cannot decide: |v| outside
+``_FAST_RANGE`` (zeros excepted), non-finite values and near-exact
+rounding ties.
 """
 
 from __future__ import annotations
@@ -38,6 +42,15 @@ _SPLIT = 2.0 ** 27 + 1.0  # Veltkamp's factor: a double as two 26-bit halves
 # in all below 6e-17. A cell whose |S - m| is within _TIE_MARGIN of 0.5
 # could be a tie either way and goes to Python.
 _TIE_MARGIN = 2.0 ** -52
+# The screen in front of that takes p and m alone. Where m < 1e13, p < 2**44
+# and ulp(p) <= 2**-9, and |hi - 10**k| <= ulp(hi)/2 <= hi·2**-53, so
+#   |p - S| <= ulp(p)/2 + |v|·|hi - 10**k| <= 2**-10 + S·2**-53 < 0.0022.
+# A cell with |p - m| <= 0.5 - _TIE_MARGIN - _SCREEN_ERROR and
+# 1e12 < m < 1e13 then has |S - m| < 0.5 - _TIE_MARGIN: m is S rounded, no
+# tie is near, and 1e12 < S < 1e13 confirms e. m = 1e12 does not: an S just
+# below 1e12, with e one too high, rounds up to it. Every other cell takes
+# the exact path.
+_SCREEN_ERROR = 2.0 ** -8
 _BLOCK_CELLS = 4096  # CSV cells built and written per block
 
 
@@ -116,10 +129,10 @@ def _e12_fallback(x: np.ndarray) -> list[str]:
     return ["%.12e" % v for v in x.tolist()]
 
 
-def _e12_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sign bit, 13-digit mantissa and decimal exponent of ``'%.12e' % v``
-    for each value of ``x``; a non-finite value gets mantissa 10**12 and
-    exponent 0.
+def _exact_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mantissa and decimal exponent of ``'%.12e' % v`` for each value of
+    ``x``, by the exact rounding of ``_rounded``; a non-finite value gets
+    mantissa 10**12 and exponent 0.
 
     With e the decimal exponent, the mantissa is S = |v|·10**(12 - e)
     rounded half to even. e starts as floor(log10|v|), which is at most one
@@ -144,34 +157,65 @@ def _e12_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         e[carry] += 1
     m[zero] = 0.0
     m = m.astype(np.int64)
-    # a non-finite value is left to _fields, which lays out its text
+    # a non-finite value is left to _put, which lays out its text
     slow = np.flatnonzero(~(fast | zero) & (size < np.inf)
                           | (np.abs(d) > 0.5 - _TIE_MARGIN))
     for i, text in zip(slow.tolist(), _e12_fallback(x[slow])):
         body = text.lstrip("-")  # "d.dddddddddddde[+-]xx[x]"
         m[i], e[i] = int(body[0] + body[2:14]), int(body[15:])
+    return m, e
+
+
+def _e12_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sign bit, 13-digit mantissa and decimal exponent of ``'%.12e' % v``
+    for each value of ``x``; a non-finite value gets mantissa 10**12 and
+    exponent 0.
+
+    m = rint(|v|·hi) with e = floor(log10|v|) is final wherever the screen
+    derived at ``_SCREEN_ERROR`` passes it; the other cells (zeros, |v|
+    outside ``_FAST_RANGE``, a wrong first e and cells near a tie) take
+    ``_exact_parts``.
+    """
+    # |v| clamped to _FAST_RANGE, NaN to its floor: a clamped cell (zeros and
+    # Python's cells) scales to m = 1e12 or 1e13, which the screen rejects
+    a = np.fmin(np.fmax(np.abs(x), _FAST_RANGE[0]), _FAST_RANGE[1])
+    e = np.floor(np.log10(a)).astype(np.int64)
+    p = a * _e12_tables()[0][e + _E_SCALED]
+    m = np.rint(p)
+    p -= m
+    unsure = np.flatnonzero((np.abs(p) > 0.5 - _TIE_MARGIN - _SCREEN_ERROR)
+                            | (m <= 1e12) | (m >= 1e13))
+    m = m.astype(np.int64)
+    if unsure.size:
+        m[unsure], e[unsure] = _exact_parts(x[unsure])
     return np.signbit(x), m, e
 
 
-def _fields(x: np.ndarray, sep: str) -> tuple[np.ndarray, bool]:
-    """``'%.12e' % v + sep`` for every value of ``x`` as one fixed-width
-    record each (a void array), and whether a record holds NUL padding.
+def _layout(neg: np.ndarray, e: np.ndarray) -> tuple[np.dtype, bool]:
+    """The record dtype of cells with sign bits ``neg`` and exponents ``e``,
+    and whether a finite cell's record holds NUL padding.
 
     A record has a sign slot, or a hundreds slot in its exponent, only if
-    some value of ``x`` needs it; where not every value does, the slot is
-    NUL when unused. A non-finite value's text is NUL-padded to the
-    record's width.
+    some cell needs it; where not every cell does, the slot is NUL when
+    unused.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    neg, m, e = _e12_parts(x)
-    sign, lead, quad, exp5, exp4 = _e12_tables()[4:]
     signed = bool(neg.any())
-    wide = np.abs(e) >= 100
-    hundreds = bool(wide.any())
-    rec = np.empty(x.size, [("s", "V1")] * signed + [
+    hundreds = e.size > 0 and (int(e.max()) >= 100 or int(e.min()) <= -100)
+    dtype = np.dtype([("s", "V1")] * signed + [
         ("d", "V2"), ("q2", "V4"), ("q1", "V4"), ("q0", "V4"),
-        ("x", "V5" if hundreds else "V4"), ("sep", "V1")])
-    if signed:
+        ("x", "V5" if hundreds else "V4"), ("sep", "S1")])
+    return dtype, ((signed and not neg.all())
+                   or (hundreds and not bool((np.abs(e) >= 100).all())))
+
+
+def _put(rec: np.ndarray, x: np.ndarray, neg: np.ndarray, m: np.ndarray, e: np.ndarray,
+         sep: bytes) -> bool:
+    """Lay the text of each value of ``x`` into the records ``rec`` (a
+    ``_layout`` dtype, possibly a strided view), all but the separator
+    slot, and return whether some value is non-finite. A non-finite value's
+    text is NUL-padded to the record's width and ends in ``sep``."""
+    sign, lead, quad, exp5, exp4 = _e12_tables()[4:]
+    if "s" in rec.dtype.names:
         rec["s"] = sign[neg.view(np.uint8)]
     top = m // 10 ** 8  # the lead digit and the next four
     low = m - top * 10 ** 8
@@ -181,38 +225,82 @@ def _fields(x: np.ndarray, sep: str) -> tuple[np.ndarray, bool]:
     q1 = low // 10 ** 4
     rec["q1"] = quad[q1]
     rec["q0"] = quad[low - q1 * 10 ** 4]
-    rec["x"] = (exp5 if hundreds else exp4)[e + _E_TEXT]
-    rec.view(np.uint8).reshape(x.size, rec.itemsize)[:, -1] = ord(sep)
-    padded = (signed and not neg.all()) or (hundreds and not wide.all())
-    odd = np.flatnonzero(~np.isfinite(x))
-    if odd.size:
-        raw = b"".join(t.encode().ljust(rec.itemsize - 1, b"\0") + sep.encode()
-                       for t in _e12_fallback(x[odd]))
-        rec[odd] = np.frombuffer(raw, rec.dtype)
-        padded = True
-    return rec.view(f"V{rec.itemsize}"), padded
+    rec["x"] = (exp5 if rec.dtype["x"].itemsize == 5 else exp4)[e + _E_TEXT]
+    finite = np.isfinite(x)
+    if finite.all():
+        return False
+    odd = np.flatnonzero(~finite)
+    raw = b"".join(t.encode().ljust(rec.itemsize - 1, b"\0") + sep
+                   for t in _e12_fallback(x[odd]))
+    rec[odd] = np.frombuffer(raw, rec.dtype)
+    return True
 
 
-def csv_rows(axes: list[np.ndarray], vals: np.ndarray) -> Iterator[bytearray]:
+def _records(x: np.ndarray, neg: np.ndarray, m: np.ndarray, e: np.ndarray,
+             sep: bytes) -> tuple[np.ndarray, bool]:
+    """``_fields`` of ``x`` from its ``_e12_parts``."""
+    dtype, padded = _layout(neg, e)
+    rec = np.empty(x.size, dtype)
+    rec["sep"] = sep
+    odd = _put(rec, x, neg, m, e, sep)
+    return rec.view(f"V{rec.itemsize}"), padded or odd
+
+
+def _fields(x: np.ndarray, sep: str) -> tuple[np.ndarray, bool]:
+    """``'%.12e' % v + sep`` for every value of ``x`` as one fixed-width
+    record each (a void array, see ``_layout``), and whether a record holds
+    NUL padding."""
+    x = np.asarray(x, dtype=float).ravel()
+    return _records(x, *_e12_parts(x), sep.encode())
+
+
+def csv_rows(axes: list[np.ndarray], vals: np.ndarray) -> Iterator[memoryview | bytes]:
     """The CSV rows of ``vals`` over one or two ``axes``, one block of about
     ``_BLOCK_CELLS`` cells at a time.
 
     A row is one record: the first axis's field, the second axis's, the
-    value's. The axis fields are laid out once per call, the value fields
-    once per block. A block without NUL padding is yielded as built; a
-    padded one is yielded with its NULs removed.
+    value's. Every block is laid out in one buffer that the whole file
+    reuses, so a yielded block is valid only until the next one is
+    requested. The second axis's fields and the value separators are laid
+    into it once per file (again only where a block's values need another
+    record layout), the first axis's fields once per block, and the value
+    fields straight into their slots. One ``_e12_parts`` pass takes the
+    axes, and the values too when they fit one block. A block without NUL
+    padding is yielded as a view of the buffer; a padded one as a copy with
+    its NULs removed.
     """
-    head, *rest = [_fields(xs, ",") for xs in axes]
-    cells = np.asarray(vals, dtype=float).reshape(len(head[0]), len(rest[0][0]) if rest else 1)
-    step = max(1, _BLOCK_CELLS // max(1, cells.shape[1]))
+    xs = [np.asarray(xs, dtype=float).ravel() for xs in axes]
+    ncols = len(xs[1]) if len(xs) > 1 else 1
+    cells = np.asarray(vals, dtype=float).reshape(len(xs[0]), ncols)
+    step = max(1, _BLOCK_CELLS // max(1, ncols))
+    block_rows = min(step, len(cells))
+    one_block = len(cells) <= step
+    segments = xs + [cells.ravel()] * one_block
+    ends = np.cumsum([s.size for s in segments]).tolist()
+    parts = _e12_parts(np.concatenate(segments))
+    cut = [tuple(p[end - s.size:end] for p in parts) for s, end in zip(segments, ends)]
+    head, *rest = [_records(s, *c, b",") for s, c in zip(xs, cut)]
+    axes_padded = any(padded for _, padded in (head, *rest))
+    buf = frame = None
     for i in range(0, len(cells), step):
         block = cells[i:i + step]
-        value = _fields(block, "\n")
-        columns = [(head[0][i:i + step, None], head[1]), *rest,
-                   (value[0].reshape(block.shape), value[1])]
-        row = np.dtype([(f"c{j}", rec.dtype) for j, (rec, _) in enumerate(columns)])
-        buf = bytearray(row.itemsize * block.size)  # filled through a view, never copied
-        rows = np.frombuffer(buf, row).reshape(block.shape)
-        for j, (rec, _) in enumerate(columns):
-            rows[f"c{j}"] = rec
-        yield buf.translate(None, b"\0") if any(padded for _, padded in columns) else buf
+        x = block.ravel()
+        neg, m, e = cut[-1] if one_block else _e12_parts(x)
+        value, padded = _layout(neg, e)
+        if frame is None or frame.dtype["v"] != value:
+            # the value record's width sets the row's, so the fields laid
+            # once per file are laid again
+            row = np.dtype([("h", head[0].dtype)] + [("t", rec.dtype) for rec, _ in rest]
+                           + [("v", value)])
+            size = block_rows * ncols * row.itemsize
+            if buf is None or buf.size < size:
+                buf = np.empty(size, np.uint8)
+            frame = buf[:size].view(row)
+            if rest:
+                frame.reshape(block_rows, ncols)["t"] = rest[0][0]
+            frame["v"]["sep"] = b"\n"
+        rows = frame[:x.size]
+        rows.reshape(block.shape)["h"] = head[0][i:i + len(block), None]
+        padded |= _put(rows["v"], x, neg, m, e, b"\n")
+        text = buf[:rows.nbytes]
+        yield text.tobytes().translate(None, b"\0") if padded or axes_padded else text.data

@@ -226,6 +226,29 @@ def test_w_temporal_panels_equal_standalone_correlators(method):
         np.testing.assert_allclose(alone[2].values, direct.values, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("method", ["fft", "quad", "continuum"])
+def test_w_curves_are_scale_invariant(method):
+    # the model has one scale: sigma and the centre offsets times lam, and
+    # the walk-offs and delays over lam, leave every normalized W curve as
+    # it is, so a unit slip in an engine shows here
+    lam = 2.5
+    filters = (FilterSpec("gaussian", 0.3, center_offset=0.2),
+               FilterSpec("gaussian", 0.5, center_offset=-0.3),
+               FilterSpec("gaussian", 0.35, center_offset=0.25))
+
+    def curves(scale):
+        cfg = PhaseMatchConfig(-21.3 / scale, -18.7 / scale)
+        f1, f2, f3 = (FilterSpec("gaussian", f.sigma * scale, center_offset=f.center_offset * scale)
+                      for f in filters)
+        quad = QuadratureSpec(512, 4.0 * scale)
+        grids = (Grid1D(0.0, 0.5 / scale, 41), Grid1D(-2.0 / scale, 0.75 / scale, 23))
+        return (*w_temporal_panels(cfg, f1, f2, f3, quad, grids, method=method),
+                g2_w_temporal(cfg, f1, f2, quad, grids[0], method=method))
+
+    for base, scaled in zip(curves(1.0), curves(lam)):
+        assert np.abs(scaled.values - base.values).max() <= 1e-13
+
+
 QUAD_1024 = QuadratureSpec(1024, 3.0)
 OFFSET = FilterSpec("gaussian", 0.3, center_offset=0.2)
 

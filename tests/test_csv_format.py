@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +130,68 @@ def test_forced_fallback_gives_identical_bytes(tmp_path, monkeypatch):
     assert (tmp_path / "slow.csv").read_bytes() == (tmp_path / "fast.csv").read_bytes()
 
 
+def tie_values() -> np.ndarray:
+    """Values on and next to a rounding tie of the 13-digit mantissa."""
+    rng = np.random.default_rng(27)
+    exps = rng.integers(-300, 300, 20_000)
+    ties = (rng.integers(10 ** 12, 10 ** 13, exps.size) + 0.5) * 10.0 ** (exps - 12)
+    exact = (rng.integers(10 ** 12, 10 ** 13, 5_000) + 0.5) * 10.0 ** rng.integers(0, 6, 5_000)
+    values = np.concatenate([ties, exact])
+    return np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+
+
+def test_forced_exact_rounding_gives_identical_bytes(tmp_path, monkeypatch):
+    # with the screen's error bound at 1 no cell passes the screen, so every
+    # cell takes Dekker's product: the bytes must not move, on the default
+    # figure1 panels and on rounding ties
+    cfg = parse_config("{}")
+    f1, f2, f3 = cfg.filters[:3]
+    grids = (cfg.grid("tau12_ps"), cfg.grid("tau32_ps"))
+    panels = corr.w_temporal_panels(cfg.phase_match, f1, f2, f3, cfg.quadrature, grids,
+                                    method=corr.w_temporal_method(f1, f2, f3))
+    names = [("tau12_ps", "tau32_ps"), ("tau12_ps",), ("tau12_ps",)]
+
+    def written(tag):
+        for j, (panel, axes) in enumerate(zip(panels, names)):
+            cli.write_surface_csv(tmp_path / f"{tag}{j}.csv", axes, "g", panel, True)
+        return [(tmp_path / f"{tag}{j}.csv").read_bytes() for j in range(3)]
+
+    ties = tie_values()
+    screened, screened_ties = written("screened"), vectorized(ties)
+    exact = []
+    real = csvtext._exact_parts
+    monkeypatch.setattr(csvtext, "_exact_parts", lambda x: exact.append(x.size) or real(x))
+    monkeypatch.setattr(csvtext, "_SCREEN_ERROR", 1.0)
+    formatted = count_fallback(monkeypatch)
+    assert written("forced") == screened
+    kept = [[g.points() >= 0.0 for g in p.axes] for p in panels]
+    cells = sum(sum(map(np.count_nonzero, k)) + p.values[np.ix_(*k)].size
+                for p, k in zip(panels, kept))
+    assert sum(exact) == cells
+    assert sum(formatted) == 0
+    assert vectorized(ties) == screened_ties == per_cell(ties)
+    assert sum(exact) == cells + ties.size
+
+
+def test_a_file_reuses_one_row_buffer(tmp_path):
+    # a 161 x 161 surface is 7 blocks of 25 rows x 161 cells, 57 bytes a row:
+    # one 229 kB buffer and each block's float temporaries, at most twelve
+    # arrays of 4025 values; a second buffer, held by the writer while the
+    # next block is built into a fresh one, goes over
+    grid = Grid1D(0.0, 0.25, 161)
+    surface = CorrelationSurface((grid, grid),
+                                 np.random.default_rng(5).uniform(0.0, 1.0, (161, 161)))
+    cli.write_surface_csv(tmp_path / "warm.csv", ("x", "y"), "v", surface)
+    tracemalloc.start()
+    try:
+        cli.write_surface_csv(tmp_path / "s.csv", ("x", "y"), "v", surface)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cells = 25 * 161
+    assert peak < cells * 57 + 12 * 8 * cells
+
+
 def test_records_are_padded_only_where_some_cells_leave_a_slot_empty():
     assert not csvtext._fields(-np.arange(1.0, 5.0), ",")[1]  # a sign in every record
     assert not csvtext._fields(np.array([1e-100, 1e200]), ",")[1]  # three exponent digits
@@ -179,6 +242,11 @@ def test_figure1_surfaces_need_no_python_formatting(tmp_path, monkeypatch, entry
     # empty input
     ((np.empty(0),), np.empty(0)),
     ((np.arange(3.0), np.empty(0)), np.empty((3, 0))),
+    # a surface of three blocks whose later values need a sign and then a
+    # hundreds slot, so the row grows and the second axis is laid again
+    ((np.arange(60.0), np.linspace(-1.0, 1.0, 200)),
+     np.concatenate([np.full((20, 200), 0.25), -np.full((20, 200), 0.5),
+                     np.geomspace(1e-150, 1.0, 4000).reshape(20, 200)])),
 ])
 def test_padded_and_uniform_blocks_match_python(axes, vals):
     assert rows_text(list(axes), vals) == per_row(axes, vals)
